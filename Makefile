@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint vet check bench-smoke bench-live bench-node bench-obs bench-offload bench-scale clean
+.PHONY: all build test test-bench race lint vet check bench bench-smoke bench-live bench-node bench-obs bench-offload bench-scale clean
 
 all: build
 
@@ -13,6 +13,18 @@ build:
 # Tier-1 gate: plain unit tests (includes the analyzer fixtures).
 test:
 	$(GO) test ./...
+
+# The nested benchmark module (benchmark/go.mod replaces the parent by
+# ../) imports internal/..., but `go build ./... && go test ./...` at
+# the root never see it: this is what catches an internal API change
+# that breaks it.
+test-bench:
+	$(GO) test -C benchmark ./...
+
+# The repo's benchmark (BENCHMARK.json): four workloads over a live
+# 5-node cluster, ~20 s each; builds into the git-ignored .bench_build/.
+bench:
+	bash benchmark/run.sh
 
 # Race-detector pass. The simulation-heavy experiments package runs
 # 10-20x slower under -race; the generous timeout is deliberate.
@@ -44,9 +56,8 @@ bench-live:
 
 # Node write-path benchmarks: serial and parallel write
 # microbenchmarks per model over both the channel fabric ("mem") and
-# the shared-memory ring fabric ("ring", which also engages the nodes'
-# run-to-completion mode), plus livebench Lin-Synch throughput runs,
-# with the NVM delay off and at the paper's 1295 ns. Updates the
+# the shared-memory ring fabric ("ring", polled inline), plus livebench
+# Lin-Synch throughput runs, with the NVM delay off and at the paper's 1295 ns. Updates the
 # "after" section of BENCH_node.json in place (the committed "before"
 # baseline rows — fabric-less, i.e. mem — are kept). CI uploads the
 # result as the bench-node artifact.

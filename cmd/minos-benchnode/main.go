@@ -15,8 +15,7 @@
 // Rows are keyed by fabric: "mem" is the original channel fabric
 // (comparable against baseline worktrees, whose benchnode predates the
 // fabric field — their rows read as mem), "ring" is the shared-memory
-// SPSC datapath, which also engages the nodes' run-to-completion mode.
-//
+// SPSC datapath, which the nodes poll inline.
 package main
 
 import (

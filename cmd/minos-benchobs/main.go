@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"os"
 	"testing"
-	"time"
 
 	"github.com/minos-ddp/minos/internal/ddp"
 	"github.com/minos-ddp/minos/internal/node"
@@ -136,11 +135,11 @@ func benchWrites(b *testing.B, model ddp.Model, tr *obs.Tracer) {
 	net := transport.NewMemNetwork(3)
 	nodes := make([]*node.Node, 3)
 	for i := range nodes {
-		opts := []node.Option{node.WithModel(model), node.WithPersistDelay(time.Duration(0))}
+		cfg := node.Config{Model: model}
 		if i == 0 {
-			opts = append(opts, node.WithTracer(tr))
+			cfg.Tracer = tr
 		}
-		nodes[i] = node.NewWithOptions(net.Endpoint(ddp.NodeID(i)), opts...)
+		nodes[i] = node.New(cfg, net.Endpoint(ddp.NodeID(i)))
 		nodes[i].Start()
 	}
 	defer func() {

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	minos-live                          # all models, 5 nodes, in-process fabric
-//	minos-live -fabric ring             # shared-memory rings + run-to-completion nodes
+//	minos-live -fabric ring             # shared-memory rings, polled inline
 //	minos-live -tcp                     # same cluster over loopback TCP (batched wire path)
 //	minos-live -tcp -json BENCH_live.json
 //	minos-live -nodes 3 -requests 5000 -persist 1295ns -writes 1.0
@@ -34,8 +34,7 @@ func main() {
 	valueSize := flag.Int("value", 128, "record value bytes")
 	seed := flag.Int64("seed", 42, "workload seed")
 	tcp := flag.Bool("tcp", false, "run over loopback TCP (real batched wire path) instead of the in-process fabric; alias for -fabric tcp")
-	fabricFlag := flag.String("fabric", "", "cluster interconnect: mem (default), ring (shared-memory SPSC + run-to-completion), or tcp")
-	dispatch := flag.Int("dispatch", 0, "key-affine dispatch workers per node (0 = node default)")
+	fabricFlag := flag.String("fabric", "", "cluster interconnect: mem (default), ring (shared-memory SPSC rings, polled inline), or tcp")
 	drains := flag.Int("drains", 0, "NVM drain engines per node (0 = node default)")
 	jsonPath := flag.String("json", "", "write results into this JSON file (existing 'before' and 'after.microbench' keys are preserved)")
 	tracePath := flag.String("trace", "", "record per-transaction phase spans and write them to this JSON file (minos-trace's input)")
@@ -72,11 +71,10 @@ func main() {
 		mode, *nodes, *workers, *requests, int(*writes*100), *persist, fabricDesc)
 	results, err := livebench.RunAllModels(livebench.Config{
 		Cluster: loadgen.Cluster{
-			Nodes:           *nodes,
-			PersistDelay:    *persist,
-			DispatchWorkers: *dispatch,
-			PersistDrains:   *drains,
-			Fabric:          fabric,
+			Nodes:         *nodes,
+			PersistDelay:  *persist,
+			PersistDrains: *drains,
+			Fabric:        fabric,
 		},
 		Load: livebench.Load{
 			WorkersPerNode:  *workers,
@@ -139,12 +137,12 @@ type liveResult struct {
 	Write          stats.Report `json:"write"`
 	Read           stats.Report `json:"read"`
 	FramesSent     int64        `json:"frames_sent"`
-	BatchesSent    int64   `json:"batches_sent"`
-	FramesPerBatch float64 `json:"frames_per_batch"`
-	BytesSent      int64   `json:"bytes_sent"`
-	Broadcasts     int64   `json:"broadcasts"`
-	Encodes        int64   `json:"encodes"`
-	Redials        int64   `json:"redials"`
+	BatchesSent    int64        `json:"batches_sent"`
+	FramesPerBatch float64      `json:"frames_per_batch"`
+	BytesSent      int64        `json:"bytes_sent"`
+	Broadcasts     int64        `json:"broadcasts"`
+	Encodes        int64        `json:"encodes"`
+	Redials        int64        `json:"redials"`
 	// Snapshot is the full unified observability tree (node, pipeline,
 	// transport); the flat wire fields above are kept for historical
 	// diffing against committed BENCH_live.json baselines.

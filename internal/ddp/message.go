@@ -29,8 +29,8 @@ const (
 	// Followers to persist every write in a scope.
 	KindPersist
 	// KindValBatch carries several release-side validations (VAL/VAL_C/
-	// VAL_P) from back-to-back commits in one frame. Run-to-completion
-	// transports coalesce them so consecutive single-key transactions
+	// VAL_P) from back-to-back commits in one frame. Nodes over
+	// inline-polling transports coalesce them so consecutive single-key transactions
 	// share one encode+broadcast; the receiver unpacks and handles each
 	// entry as if it had arrived alone.
 	KindValBatch

@@ -6,7 +6,7 @@
 //
 // Both runtimes consume this package: the live MINOS-B node
 // (internal/node) and the simulated MINOS-B/MINOS-O clusters
-// (internal/simcluster, internal/smartnic), as well as the explicit-state
+// (internal/simcluster), as well as the explicit-state
 // model checker (internal/check). Keeping the semantics here means a
 // correctness argument about one runtime transfers to the others.
 package ddp

@@ -3,8 +3,8 @@ package ddp
 import "encoding/binary"
 
 // Wire codec for one coalesced-validation entry, the element of a
-// KindValBatch frame's payload (the release-side VAL coalescing of
-// run-to-completion mode). The layout is fixed little-endian:
+// KindValBatch frame's payload (the release-side VAL coalescing over
+// inline-polling transports). The layout is fixed little-endian:
 // kind (u8) | key (u64) | ts.Node (i64) | ts.Version (i64) | scope (u64).
 // It lives here, beside the rest of the message vocabulary, so the
 // node's batcher and the transport fuzzers exercise one codec instead

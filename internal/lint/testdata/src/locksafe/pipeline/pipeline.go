@@ -1,9 +1,8 @@
-// Fixture: the durability-pipeline and key-affine-executor shapes the
-// live node uses (group-commit drain engines, bounded dispatch lanes).
-// Every pattern here is the blessed form — mutexes guard only the batch
-// swap, wake signalling is a select-with-default on a buffered channel,
-// the modeled device sleep selects on stop outside any lock, and the
-// executor workers consume a plain channel. Expect zero diagnostics.
+// Fixture: the durability-pipeline shapes the live node uses
+// (group-commit drain engines). Every pattern here is the blessed form
+// — mutexes guard only the batch swap, wake signalling is a
+// select-with-default on a buffered channel, and the modeled device
+// sleep selects on stop outside any lock. Expect zero diagnostics.
 package pipeline
 
 import (
@@ -97,35 +96,4 @@ func (p *pipe) drainWorker(q *queue) {
 			close(b.done)
 		}
 	}
-}
-
-// executor is the bounded key-affine dispatch shape: workers range a
-// plain channel; dispatch is a blocking send from the single producer.
-type executor struct {
-	queues []chan uint64
-	wg     sync.WaitGroup
-}
-
-func (e *executor) start(handle func(uint64)) {
-	for _, q := range e.queues {
-		q := q
-		e.wg.Add(1)
-		go func() {
-			defer e.wg.Done()
-			for m := range q {
-				handle(m)
-			}
-		}()
-	}
-}
-
-func (e *executor) dispatch(m uint64) {
-	e.queues[m&uint64(len(e.queues)-1)] <- m
-}
-
-func (e *executor) close() {
-	for _, q := range e.queues {
-		close(q)
-	}
-	e.wg.Wait()
 }

@@ -5,18 +5,25 @@ package node
 
 import "persistorder/nvm"
 
-// nicPersistThen is the NIC-side persistThen: the pipeline append makes
-// the function a continuation-deferrer, so call sites naming the ack
-// kind hand it payload — the literal is not a bare ack construction.
-func (n *Node) nicPersistThen(m Message, k MsgKind) {
+// persistThenAck is the follower's one persist-then-ack step: the
+// pipeline append makes the function a continuation-deferrer, so call
+// sites naming the ack kind hand it payload — the literal is not a bare
+// ack construction. On a NIC core (nic) the update stages into the
+// dFIFO instead, whose drain below acknowledges after its group commit.
+func (n *Node) persistThenAck(m Message, k MsgKind, nic bool) {
+	if nic && n.stage(m, k) {
+		return
+	}
 	n.pipe.Enqueue(nvm.Entry{}, nil)
 	n.send(m.From, Message{Kind: k, From: 0})
 }
 
-// The NIC INV handler stages durability through the deferrer and names
-// the combined ack kind as payload.
-func (n *Node) nicInvAckOK(m Message) {
-	n.nicPersistThen(m, KindAck)
+func (n *Node) stage(m Message, k MsgKind) bool { return false }
+
+// The INV handler names the combined ack kind as payload on either
+// side of the offload boundary.
+func (n *Node) invAckOK(m Message, nic bool) {
+	n.persistThenAck(m, KindAck, nic)
 }
 
 // The dFIFO drain: one blocking group commit covers the whole staged

@@ -42,29 +42,26 @@ func StartCluster(cl Cluster, ob Observe, off Offload, clientConns int) (*LiveCl
 			lc.Tracers[i] = obs.NewTracer(ob.TraceCapacity)
 			lc.Tracers[i].SetSampleEvery(ob.TraceSample)
 		}
-		opts := []node.Option{
-			node.WithModel(cl.Model),
-			node.WithPersistDelay(cl.PersistDelay),
-			node.WithDispatchWorkers(cl.DispatchWorkers),
-			node.WithPersistDrains(cl.PersistDrains),
-			node.WithTracer(lc.Tracers[i]),
-			node.WithRTC(cl.RTC),
+		cfg := node.Config{
+			Model:         cl.Model,
+			PersistDelay:  cl.PersistDelay,
+			PersistDrains: cl.PersistDrains,
+			Tracer:        lc.Tracers[i],
 		}
 		if clientConns > 0 {
-			window := cl.ClientWindow
-			if window <= 0 {
-				window = 1024
+			cfg.ClientWindow = cl.ClientWindow
+			if cfg.ClientWindow <= 0 {
+				cfg.ClientWindow = 1024
 			}
-			opts = append(opts, node.WithClientFrontend(window, cl.ClientWorkers))
+			cfg.ClientWorkers = cl.ClientWorkers
 		}
 		if off.Enabled {
-			oc := off.Config
-			if oc == nil {
-				oc = &offload.Config{}
+			cfg.Offload = off.Config
+			if cfg.Offload == nil {
+				cfg.Offload = &offload.Config{}
 			}
-			opts = append(opts, node.WithOffload(oc))
 		}
-		lc.Nodes[i] = node.NewWithOptions(lc.Eps[i], opts...)
+		lc.Nodes[i] = node.New(cfg, lc.Eps[i])
 		lc.Nodes[i].Start()
 	}
 	return lc, nil

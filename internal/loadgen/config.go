@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"github.com/minos-ddp/minos/internal/ddp"
-	"github.com/minos-ddp/minos/internal/node"
 	"github.com/minos-ddp/minos/internal/offload"
 	"github.com/minos-ddp/minos/internal/workload"
 )
@@ -33,9 +32,6 @@ type Cluster struct {
 	// PersistDelay emulates the NVM persist latency (Table II charges
 	// 1295 ns/KB).
 	PersistDelay time.Duration
-	// DispatchWorkers sizes each node's key-affine executor (0 = node
-	// default).
-	DispatchWorkers int
 	// PersistDrains sizes each node's NVM drain-engine pool (0 = node
 	// default).
 	PersistDrains int
@@ -43,8 +39,6 @@ type Cluster struct {
 	// fabric, the default), "ring" (shared-memory SPSC rings with
 	// inline polling), or "tcp" (loopback TCP mesh).
 	Fabric string
-	// RTC overrides the nodes' run-to-completion mode (default: auto).
-	RTC node.RTCMode
 	// ClientWindow bounds each node's remote-client admission queue;
 	// requests beyond it are shed with StatusShed. Zero picks the
 	// loadgen default (1024) when client connections exist.

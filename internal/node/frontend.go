@@ -21,11 +21,10 @@ type clientReq struct {
 // plus a small worker pool that executes client operations through the
 // same Write/ReadInto/Persist paths local callers use.
 //
-// The critical property is that admission is non-blocking. In
-// run-to-completion mode client frames arrive on the goroutine holding
-// the transport's poll token; a client operation executed inline there
-// would deadlock the moment it needed to poll for its own
-// acknowledgments. So handleFrame only ever enqueues; when the queue is
+// The critical property is that admission is non-blocking. Client
+// frames arrive on the node's delivery goroutine; a client operation
+// executed inline there would deadlock the moment it needed its own
+// acknowledgments delivered. So handleFrame only ever enqueues; when the queue is
 // full the request is shed with an explicit StatusShed response — never
 // silently dropped, never silently retried — which is exactly the
 // back-pressure signal the open-loop load harness accounts for.
@@ -60,9 +59,8 @@ func (fe *frontend) start(workers int) {
 }
 
 // admit handles an inbound FrameClientRequest: enqueue if the window
-// has room, shed otherwise. It runs on the node's single delivery
-// goroutine (recvLoop, or the poll-token holder in RTC mode) and must
-// not block or execute the operation.
+// has room, shed otherwise. It runs on the node's delivery goroutine
+// (handleFrame) and must not block or execute the operation.
 func (fe *frontend) admit(f transport.Frame) {
 	req := clientReq{
 		from:   f.From,
@@ -71,8 +69,8 @@ func (fe *frontend) admit(f transport.Frame) {
 		key:    f.Req.Key,
 		value:  f.Req.Value,
 	}
-	if fe.n.inline && len(req.value) > 0 {
-		// Inline delivery borrows transport storage for the frame's
+	if fe.n.poller != nil && len(req.value) > 0 {
+		// Inline polling borrows transport storage for the frame's
 		// value; it dies when the handler returns, and the request
 		// outlives it in the queue.
 		req.value = append([]byte(nil), req.value...)

@@ -123,16 +123,15 @@ func TestClientFrontendSheds(t *testing.T) {
 }
 
 // TestClientFrontendOverRingRTC drives client ops through the
-// run-to-completion ring path — the configuration where executing a
-// client op inline (instead of enqueueing) would deadlock on the poll
-// token. Fifty round trips complete or the test times out.
+// inline-polled ring path — the configuration where executing a client
+// op inline (instead of enqueueing) would deadlock on the poll token. Fifty round trips complete or the test times out.
 func TestClientFrontendOverRingRTC(t *testing.T) {
 	const nodes = 3
 	net := transport.NewRingNetworkClients(nodes, 1, 256<<10, 0)
 	cluster := make([]*Node, nodes)
 	for i := 0; i < nodes; i++ {
 		cluster[i] = New(Config{
-			Model: ddp.LinSynch, RTC: RTCEnabled, ClientWindow: 64, ClientWorkers: 2,
+			Model: ddp.LinSynch, ClientWindow: 64, ClientWorkers: 2,
 		}, net.Endpoint(ddp.NodeID(i)))
 		cluster[i].Start()
 	}

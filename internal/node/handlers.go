@@ -5,15 +5,20 @@ import (
 	"github.com/minos-ddp/minos/internal/kv"
 )
 
-// handleMessage dispatches one inbound protocol message. It runs on a
-// key-affine executor worker, so messages for one record arrive here in
-// transport order; handlers must not block on conditions that only a
-// later same-key message can satisfy (the obsolete spins are punted to
-// their own goroutines for exactly that reason).
-func (n *Node) handleMessage(m ddp.Message) {
+// handleMessage dispatches one protocol message. It runs wherever the
+// message's key is currently owned — the delivery goroutine
+// (handleFrame) or, with nic set, a soft-NIC core — and either way
+// messages for one record arrive here in transport order; handlers
+// must not block on conditions that only a later same-key message can
+// satisfy (the obsolete spins are punted to their own goroutines for
+// exactly that reason). The two placements run the same handlers; nic
+// only selects where a follower's persist is staged (persistThenAck).
+//
+//minos:hotpath
+func (n *Node) handleMessage(m ddp.Message, nic bool) {
 	switch m.Kind {
 	case ddp.KindInv:
-		n.handleInv(m)
+		n.handleInv(m, nic)
 	case ddp.KindAck, ddp.KindAckC, ddp.KindAckP:
 		if m.Kind == ddp.KindAckP && m.Scope != 0 && m.TS == (ddp.Timestamp{}) {
 			n.handleScopeAck(m)
@@ -34,19 +39,19 @@ func (n *Node) handleMessage(m ddp.Message) {
 }
 
 // handleInv is the Follower algorithm (Fig 2 L26-40, Fig 3 deltas).
-func (n *Node) handleInv(m ddp.Message) {
+func (n *Node) handleInv(m ddp.Message, nic bool) {
 	if !n.applyInv(m) {
 		return
 	}
 	switch n.policy.FollowerPersist {
 	case ddp.PersistBeforeAck: // Synch: persist (L39), combined ACK (L40)
-		n.persistThen(m, ddp.KindAck)
+		n.persistThenAck(m, ddp.KindAck, nic)
 	case ddp.PersistAfterAckC: // Strict, REnf
 		n.sendAck(m, ddp.KindAckC)
-		n.persistThen(m, ddp.KindAckP)
+		n.persistThenAck(m, ddp.KindAckP, nic)
 	case ddp.PersistBackground: // Event
 		n.sendAck(m, ddp.KindAckC)
-		n.persistAsync(m.Key, m.TS, m.Value, m.Scope)
+		n.pipe.Enqueue(m.Key, m.TS, m.Value, m.Scope, nil)
 	case ddp.PersistOnScopeFlush: // Scope
 		n.bufferScope(m.Scope, m.Key, m.TS, m.Value)
 		n.sendAck(m, ddp.KindAckC)
@@ -55,11 +60,8 @@ func (n *Node) handleInv(m ddp.Message) {
 
 // applyInv is the volatile half of the Follower algorithm (Fig 2
 // L26-37): the obsolete checks, the RDLock snatch, the WRLock-guarded
-// publish. It is shared by the host path (handleInv) and the NIC path
-// (handleInvOffloaded), which differ only in how the persistency step
-// that follows is staged. A false return means the INV took the
-// obsolete path (the spawned spin owns the acknowledgment) or the node
-// closed mid-apply.
+// publish. A false return means the INV took the obsolete path (the
+// spawned spin owns the acknowledgment) or the node closed mid-apply.
 //
 //minos:hotpath
 func (n *Node) applyInv(m ddp.Message) bool {
@@ -92,7 +94,7 @@ func (n *Node) applyInv(m ddp.Message) bool {
 	}
 
 	r.Publish(m.Value, m.TS) // L34-35: update LLC (seqlocked)
-	r.Meta.WRLock = false // L36
+	r.Meta.WRLock = false    // L36
 	r.Wake()
 	r.Unlock()
 	return true
@@ -100,9 +102,9 @@ func (n *Node) applyInv(m ddp.Message) bool {
 
 // spawnObsolete runs the obsolete-INV path on its own goroutine: its
 // spins wait for the superseding write's VAL, which is a same-key
-// message that would otherwise sit behind this handler in the same
-// executor lane. Obsolete INVs only occur under write contention, so
-// the goroutine is the rare case, not the common one.
+// message that would otherwise sit behind this handler on the same
+// delivery goroutine. Obsolete INVs only occur under write contention,
+// so the goroutine is the rare case, not the common one.
 func (n *Node) spawnObsolete(r *kv.Record, m ddp.Message) {
 	n.wg.Add(1)
 	go func() {
@@ -167,31 +169,39 @@ func (n *Node) sendAck(m ddp.Message, kind ddp.MsgKind) {
 	})
 }
 
-// handleAck records a follower acknowledgment at the coordinator. It
-// runs entirely under the transaction-stripe lock: that is what lets
-// removePending recycle a retired transaction's bookkeeping the moment
-// its delete commits — no handler can still hold a reference. The
-// transaction mutex nests inside the stripe mutex here, the only place
-// the two are held together.
+// handleAck records a follower acknowledgment at the coordinator. The
+// ack update runs entirely under the transaction-stripe lock: that is
+// what lets removePending recycle a retired transaction's bookkeeping
+// the moment its delete commits — no handler can still hold a
+// reference. The transaction mutex nests inside the stripe mutex here,
+// the only place the two are held together.
+//
+// When the recorded acknowledgment completes the consistency quorum,
+// the handler fans out VAL_C itself (for the models that send it at
+// consistency) instead of waiting for the coordinator goroutine to wake
+// — follower read stalls release one wake-up earlier. The writer's own
+// fan-out and this one deduplicate through wt.valCSent; the durable VAL
+// always stays with the writer, the only party that waits out local
+// durability. The record lock in fanoutValC is taken only after the
+// stripe and transaction locks drop, so it adds no lock-order edge.
 //
 //minos:lockorder node.txnStripe.mu < node.writeTxn.mu
-//
 //minos:hotpath
 func (n *Node) handleAck(m ddp.Message) {
 	s := n.stripeFor(m.Key)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	wt := s.pending[txnKey{m.Key, m.TS}]
 	if wt == nil {
 		// Late ack from a peer that was declared failed mid-write (the
 		// transaction already completed without it) — discard.
+		s.mu.Unlock()
 		return
 	}
 	wt.mu.Lock()
 	// Duplicate acks can occur after failure/recovery races; ignore
 	// errors from re-recording, they are benign here.
 	_ = wt.txn.RecordAck(m.Kind, m.From)
-	// Publish the counts for the run-to-completion spin, then wake the
+	// Publish the counts for the inline-polling spin, then wake the
 	// parked waiter only if its predicate can actually hold now — every
 	// follower acked, or a missing one is dead (the detector broadcasts
 	// at the moment of death; this covers acks arriving after it).
@@ -199,34 +209,35 @@ func (n *Node) handleAck(m ddp.Message) {
 	// a multi-follower write.
 	wt.ackCn.Store(int32(wt.txn.AckCCount()))
 	wt.ackPn.Store(int32(wt.txn.AckPCount()))
-	if n.ackWaitSatisfiable(wt) {
+	doneC, doneP := n.acked(wt)
+	fanout := doneC && n.policy.SendsValAtConsistency() && wt.valCSent.CompareAndSwap(false, true)
+	// Immutable liveness snapshot: safe to use after the locks drop,
+	// even if the writer retires wt concurrently.
+	followers := wt.followers
+	if doneC || doneP {
 		wt.cond.Broadcast()
 	}
 	wt.mu.Unlock()
+	s.mu.Unlock()
+	if fanout {
+		n.fanoutValC(m.Key, m.TS, m.Scope, followers)
+	}
 }
 
-// ackWaitSatisfiable reports whether either ack-wait predicate (all
-// live followers acked consistency, or persistency) currently holds.
-// Caller holds wt.mu.
-//
-//minos:hotpath
-func (n *Node) ackWaitSatisfiable(wt *writeTxn) bool {
-	doneC, doneP := true, true
-	for _, f := range wt.followers {
-		if !n.isAlive(f) {
-			continue
-		}
-		if doneC && !wt.txn.AckedC(f) {
-			doneC = false
-		}
-		if doneP && !wt.txn.AckedP(f) {
-			doneP = false
-		}
-		if !doneC && !doneP {
-			return false
-		}
+// fanoutValC publishes the consistency point locally and broadcasts
+// VAL_C — the same steps the writer performs after its consistency
+// wait (write.go), made idempotent by the monotonic glb advance, the
+// owner-matched RDLock release, and the valCSent guard on the send.
+func (n *Node) fanoutValC(key ddp.Key, ts ddp.Timestamp, sc ddp.ScopeID, followers []ddp.NodeID) {
+	r := n.store.GetOrCreate(key)
+	r.Lock()
+	r.Meta.AdvanceGlbVolatile(ts)
+	if n.policy.Release == ddp.ReleaseWhenConsistent {
+		r.ReleaseRDLockIfOwner(ts)
 	}
-	return true
+	r.Wake()
+	r.Unlock()
+	n.sendVal(ddp.KindValC, key, ts, sc, followers)
 }
 
 // handleVal applies a VAL/VAL_C/VAL_P at a follower (Fig 2 L41-44).

@@ -42,10 +42,6 @@ type Config struct {
 	FailAfter      time.Duration
 	// Shards sizes the KV store's lock striping.
 	Shards int
-	// DispatchWorkers sizes the key-affine executor that replaces
-	// goroutine-per-message dispatch. Rounded up to a power of two;
-	// default 8.
-	DispatchWorkers int
 	// PersistDrains is the number of NVM drain engines (persist queues)
 	// feeding the log. Rounded up to a power of two; default 4.
 	PersistDrains int
@@ -53,14 +49,6 @@ type Config struct {
 	// write path (obs.Phase taxonomy). Nil disables tracing; the hot
 	// path then pays a single predictable branch per phase boundary.
 	Tracer *obs.Tracer
-	// RTC selects the run-to-completion coordinator mode: protocol
-	// messages are handled inline on the transport's polling goroutine
-	// (no executor hand-off), and a coordinator blocked on
-	// acknowledgments drives the receive path itself via inline polling
-	// instead of parking. Requires a transport implementing
-	// transport.InlinePoller; RTCAuto enables it whenever the transport
-	// supports it.
-	RTC RTCMode
 	// ClientWindow, when positive, enables the remote-client frontend:
 	// FrameClientRequest frames are admitted into a bounded queue of
 	// this depth and executed by a worker pool; requests arriving with
@@ -72,28 +60,12 @@ type Config struct {
 	ClientWorkers int
 	// Offload, when non-nil, enables the soft-NIC offload engine
 	// (MINOS-O): protocol messages for keys the adaptive policy deems
-	// hot are handled on the engine's core pool instead of the host
-	// dispatch path. The config's callback fields (Handler, Durable,
-	// HostFence, HostDrained, Now) are owned by the node and overwritten;
-	// set only the tuning knobs. &offload.Config{} selects all defaults.
+	// hot are handled on the engine's core pool instead of the delivery
+	// goroutine. The config's callback fields (Handler, Durable, Now) are
+	// owned by the node and overwritten; set only the tuning knobs.
+	// &offload.Config{} selects all defaults.
 	Offload *offload.Config
 }
-
-// RTCMode controls the run-to-completion dispatch mode.
-type RTCMode int
-
-const (
-	// RTCAuto (the default) runs to completion when the transport
-	// supports inline polling, and falls back to the executor-lane
-	// dispatch otherwise.
-	RTCAuto RTCMode = iota
-	// RTCEnabled requires inline dispatch (still falls back if the
-	// transport cannot poll inline).
-	RTCEnabled
-	// RTCDisabled always uses the parked executor-lane dispatch, even
-	// over transports that could poll inline.
-	RTCDisabled
-)
 
 // txnKey identifies a write transaction; TS_WR is unique per record only.
 type txnKey struct {
@@ -102,9 +74,9 @@ type txnKey struct {
 }
 
 // writeTxn is the coordinator-side state of one in-flight client-write.
-// ackCn/ackPn mirror the acknowledgment counts atomically so the
-// run-to-completion fast path can spin on them without taking mu; the
-// authoritative per-follower state stays in txn under mu.
+// ackCn/ackPn mirror the acknowledgment counts atomically so a
+// coordinator polling the transport inline can spin on them without
+// taking mu; the authoritative per-follower state stays in txn under mu.
 type writeTxn struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -113,9 +85,8 @@ type writeTxn struct {
 	ackCn     atomic.Int32
 	ackPn     atomic.Int32
 	// valCSent deduplicates the consistency-point VAL_C broadcast
-	// between the writer and the offload engine's broadcast FSM
-	// (handleAckOffloaded): whichever observes the quorum first wins
-	// the CAS and fans out; the other skips.
+	// between the writer and handleAck: whichever observes the quorum
+	// first wins the CAS and fans out; the other skips.
 	valCSent atomic.Bool
 }
 
@@ -195,27 +166,26 @@ type Node struct {
 	store *kv.Store
 	log   *nvm.Log
 	pipe  *nvm.Pipeline
-	exec  *executor
 	// off is the soft-NIC offload engine (MINOS-O); nil runs pure
-	// MINOS-B, every message on the host dispatch path.
+	// MINOS-B, every message on the delivery goroutine.
 	off *offload.Engine
 	// fe is the remote-client frontend (nil unless Config.ClientWindow
 	// is set): bounded admission plus a worker pool over the same
 	// Write/Read/Persist paths local callers use.
 	fe *frontend
 
-	// poller is non-nil when the transport supports inline polling;
-	// inline is true when the node runs messages to completion on the
-	// polling goroutine (no executor lanes, no recv loop). syncSend is
+	// poller is non-nil when the transport polls inline: frames then
+	// arrive on whichever goroutine holds its poll token (borrowing
+	// transport storage) instead of on recvLoop, and a coordinator
+	// waiting for acknowledgments drives the poll itself. syncSend is
 	// true when the transport finishes encoding before Send/Broadcast
 	// return, letting the write path skip its defensive value copy.
 	poller   transport.InlinePoller
-	inline   bool
 	syncSend bool
 
 	// vals coalesces release-side VAL broadcasts from back-to-back
-	// commits (valbatch.go); non-nil only in run-to-completion mode over
-	// a synchronous encoder.
+	// commits (valbatch.go); non-nil only over an inline-polling,
+	// synchronously encoding transport.
 	vals *valStage
 
 	// detecting is true when the failure detector is configured; with it
@@ -244,7 +214,6 @@ type Node struct {
 	obs        *obs.Registry
 	tracer     *obs.Tracer
 	heartbeats *obs.Counter
-	laneDepth  *obs.Gauge
 	valBatches *obs.Counter
 	valsStaged *obs.Counter
 
@@ -270,9 +239,6 @@ func New(cfg Config, tr transport.Transport) *Node {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 64
 	}
-	if cfg.DispatchWorkers <= 0 {
-		cfg.DispatchWorkers = 8
-	}
 	if cfg.PersistDrains <= 0 {
 		cfg.PersistDrains = 4
 	}
@@ -291,12 +257,9 @@ func New(cfg Config, tr transport.Transport) *Node {
 	for i := range n.txns {
 		n.txns[i] = &txnStripe{pending: make(map[txnKey]*writeTxn)}
 	}
-	if p, ok := tr.(transport.InlinePoller); ok && cfg.RTC != RTCDisabled {
-		n.poller = p
-		n.inline = true
-	}
+	n.poller, _ = tr.(transport.InlinePoller)
 	_, n.syncSend = tr.(transport.SyncEncoder)
-	if n.inline && n.syncSend {
+	if n.poller != nil && n.syncSend {
 		n.vals = &valStage{}
 	}
 	n.detecting = cfg.HeartbeatEvery > 0 && cfg.FailAfter > 0
@@ -321,7 +284,6 @@ func New(cfg Config, tr transport.Transport) *Node {
 		Recoveries:     n.obs.Counter("recoveries"),
 	}
 	n.heartbeats = n.obs.Counter("heartbeats_sent")
-	n.laneDepth = n.obs.Gauge("exec_lane_depth_max")
 	n.valBatches = n.obs.Counter("val_batches")
 	n.valsStaged = n.obs.Counter("vals_staged")
 	n.tracer = cfg.Tracer
@@ -335,7 +297,6 @@ func New(cfg Config, tr transport.Transport) *Node {
 		OnInline: n.onPersistInline,
 		OnAck:    n.sendDurableAck,
 	})
-	n.exec = newExecutor(n, cfg.DispatchWorkers)
 	if cfg.ClientWindow > 0 {
 		if cfg.ClientWorkers <= 0 {
 			cfg.ClientWorkers = 8
@@ -350,15 +311,6 @@ func New(cfg Config, tr transport.Transport) *Node {
 		oc.Now = nil
 		if n.tracer.Enabled() {
 			oc.Now = n.tracer.Now
-		}
-		if n.inline {
-			// Run-to-completion delivery is inline: by the time Route
-			// sees a message, its predecessor has fully completed, so
-			// promotion needs no host-lane fence.
-			oc.HostFence, oc.HostDrained = nil, nil
-		} else {
-			oc.HostFence = n.laneMark
-			oc.HostDrained = n.laneDrained
 		}
 		n.off = offload.New(oc)
 		n.obs.Register(n.off)
@@ -397,14 +349,13 @@ func (n *Node) Describe() string { return "node" }
 func (n *Node) Collect(s *obs.Snapshot) { n.obs.Collect(s) }
 
 // Start begins serving protocol messages and, if configured, the
-// failure detector. In run-to-completion mode the transport's polling
-// goroutine delivers frames straight into the handlers; otherwise the
-// recv loop feeds the key-affine executor.
+// failure detector. Either way every frame runs through handleFrame on
+// one delivery goroutine at a time: the transport's poll-token holder
+// when it polls inline, recvLoop otherwise.
 func (n *Node) Start() {
-	if n.inline {
+	if n.poller != nil {
 		n.poller.SetHandler(n.handleFrame)
 	} else {
-		n.exec.start()
 		n.wg.Add(1)
 		go n.recvLoop()
 	}
@@ -432,8 +383,8 @@ func (n *Node) Close() error {
 	close(n.stop)
 	n.tr.Close()
 
-	// Stop the durability pipeline first: executor workers blocked in a
-	// scope flush and clients blocked in an inline persist unblock with
+	// Stop the durability pipeline first: a delivery goroutine blocked in
+	// a scope flush and clients blocked in an inline persist unblock with
 	// a false (not-durable) result.
 	n.pipe.Close()
 
@@ -489,60 +440,46 @@ func (n *Node) collectWaiters() ([]*writeTxn, []*scopePersist) {
 	return pending, scopes
 }
 
-// recvLoop routes inbound frames: protocol messages to the key-affine
-// executor, recovery to its own (rare) goroutine, heartbeats inline.
+// recvLoop is the delivery goroutine for transports that do not poll
+// inline (mem, TCP): it drains the receive channel through handleFrame.
 func (n *Node) recvLoop() {
 	defer n.wg.Done()
-	defer n.exec.closeQueues()
 	for f := range n.tr.Recv() {
-		n.noteAlive(f.From)
-		switch f.Kind {
-		case transport.FrameMessage:
-			// Offload gate: hot keys route to the soft-NIC pool; Route
-			// runs on this single delivery goroutine, which is what
-			// keeps the per-key ownership transitions ordered.
-			if n.off != nil && offloadable(f.Msg) && n.off.Route(f.Msg) {
-				continue
-			}
-			n.exec.dispatch(f.Msg)
-		case transport.FrameHeartbeat:
-			// noteAlive above is the whole job.
-		case transport.FrameClientRequest:
-			n.admitClient(f)
-		case transport.FrameRecoveryRequest:
-			n.spawnRecovery(f.From, f.Since)
-		case transport.FrameRecoveryEntries:
-			n.applyRecovery(f.Entries)
-		}
+		n.handleFrame(f)
 	}
 }
 
-// handleFrame is the run-to-completion frame sink: it runs on whichever
-// goroutine holds the transport's poll token (the endpoint's poller or
-// a coordinator polling inline during its ack wait) and drives each
-// protocol message through its handler with no executor hand-off.
-// Frame values may borrow transport storage; every retaining path
-// (record apply, scope buffer, log append) copies before parking or
-// returning, so nothing outlives the callback.
+// handleFrame is the node's only frame sink. It runs on one delivery
+// goroutine at a time — recvLoop, or whichever goroutine holds an
+// inline-polling transport's poll token (the endpoint's poller or a
+// coordinator polling during its ack wait) — and drives each protocol
+// message through its handler to completion before the next frame is
+// looked at. That is what keeps one record's messages in transport
+// order (the ordering Fig 2's metadata checks rely on) and what makes
+// the offload engine's ownership transfers raceless. Handlers must
+// therefore never block on a condition only a later frame can satisfy:
+// the obsolete-INV spins are punted to their own goroutines and client
+// operations to the frontend's workers. Frame values may borrow
+// transport storage; every retaining path (record apply, scope buffer,
+// log append, vFIFO admission) copies before parking or returning, so
+// nothing outlives the callback.
 //
 //minos:hotpath
 func (n *Node) handleFrame(f transport.Frame) {
 	n.noteAlive(f.From)
 	switch f.Kind {
 	case transport.FrameMessage:
-		// Offload gate: only the poll-token holder reaches here, so
-		// Route's single-caller contract holds in RTC mode too. The
-		// engine copies the (borrowed) frame value at admission.
+		// Offload gate: hot keys route to the soft-NIC pool.
 		if n.off != nil && offloadable(f.Msg) && n.off.Route(f.Msg) {
 			return
 		}
-		n.handleMessage(f.Msg)
+		n.handleMessage(f.Msg, false)
 	case transport.FrameHeartbeat:
 		// noteAlive above is the whole job.
 	case transport.FrameClientRequest:
-		// NEVER execute the operation here: this goroutine holds the
-		// poll token, and a client op waiting for its own acks would
-		// deadlock against it. admitClient only enqueues (or sheds).
+		// NEVER execute the operation here: a client op waiting for its
+		// own acks would deadlock against the delivery goroutine it is
+		// running on. admitClient only enqueues (or sheds).
 		n.admitClient(f)
 	case transport.FrameRecoveryRequest:
 		n.spawnRecovery(f.From, f.Since)
@@ -637,7 +574,7 @@ func (n *Node) liveFollowers() []ddp.NodeID {
 }
 
 // isAlive is a lock-free read of the published liveness snapshot; it
-// sits inside the waitConsistency/waitPersistency spin predicates.
+// sits inside the ack-wait predicates.
 func (n *Node) isAlive(id ddp.NodeID) bool {
 	return n.live.Load().alive[id]
 }
@@ -670,90 +607,68 @@ func (n *Node) removePending(key ddp.Key, ts ddp.Timestamp) {
 	}
 }
 
-// persist makes (key, ts, value) durable through the pipeline: it
-// blocks until the group commit holding the entry drains (the
-// durability point) and returns false if the node closed first.
-func (n *Node) persist(key ddp.Key, ts ddp.Timestamp, value []byte, sc ddp.ScopeID) bool {
-	return n.pipe.Persist(key, ts, value, sc)
-}
-
-// persistThen pipelines the update and sends kind to the coordinator
-// once the group commit containing it has drained — the follower's
-// persist-before-ack step (Fig 2 L39-40) without parking an executor
-// worker for the NVM latency. The continuation runs on the drain
-// engine strictly after the log append, so the acknowledgment can
-// never outrun durability.
+// persistThenAck makes the INV's update durable and then sends kind to
+// its coordinator — the follower's persist-before-ack step (Fig 2
+// L39-40) — without parking the caller for the NVM latency. Every
+// branch orders the acknowledgment strictly after the log append:
+//
+//   - a sampled transaction pays for a continuation closure, which is
+//     what lets it wrap the acknowledgment in trace spans;
+//   - a zero-latency pipeline appends synchronously inside Enqueue, so
+//     the acknowledgment follows directly;
+//   - a NIC core (nic) stages into the offload engine's dFIFO, whose
+//     drain (drainDurable) group-commits the batch before its ack
+//     fan-out; a full dFIFO falls through to
+//   - the pipeline's ack fields (EnqueueAck → sendDurableAck on the
+//     drain engine), allocating nothing.
+//
 //minos:hotpath
-func (n *Node) persistThen(m ddp.Message, kind ddp.MsgKind) {
+func (n *Node) persistThenAck(m ddp.Message, kind ddp.MsgKind, nic bool) {
 	to, key, ts, sc := m.From, m.Key, m.TS, m.Scope
 	// Followers have no coordinator transaction sequence; the sampling
 	// decision hashes the issued version instead, so a sampled run pays
 	// the follower-side clock reads at the same 1-in-N rate.
-	traced := n.tracer.Enabled() && n.tracer.SampleTxn(uint64(ts.Version))
-	if !traced && n.pipe.Inline() {
-		// Zero-latency pipeline: the append completes synchronously in
-		// Enqueue, so the acknowledgment can follow directly — the
-		// persist-before-ack order holds with no continuation closure.
-		if n.pipe.Enqueue(key, ts, m.Value, sc, nil) {
-			n.send(to, ddp.Message{Kind: kind, Key: key, TS: ts, Scope: sc, Size: ddp.ControlSize()})
-		}
-		return
-	}
-	n.persistThenQueued(m, kind, traced)
-}
-
-// sendDurableAck is the pipeline's OnAck hook: it ships the durable
-// acknowledgment an EnqueueAck entry carries. It runs on the drain
-// engine strictly after the entry's group commit, so the
-// persist-before-ack order holds with no per-entry closure.
-//
-//minos:hotpath
-func (n *Node) sendDurableAck(to ddp.NodeID, kind ddp.MsgKind, key ddp.Key, ts ddp.Timestamp, sc ddp.ScopeID) {
-	n.send(to, ddp.Message{Kind: kind, Key: key, TS: ts, Scope: sc, Size: ddp.ControlSize()})
-}
-
-// persistThenQueued is the queued-pipeline (or traced) half of
-// persistThen. The untraced common case rides the pipeline's ack
-// fields (EnqueueAck → sendDurableAck), allocating nothing; only a
-// sampled transaction pays for a continuation closure, which is what
-// lets it wrap the acknowledgment in trace spans.
-func (n *Node) persistThenQueued(m ddp.Message, kind ddp.MsgKind, traced bool) {
-	to, key, ts, sc := m.From, m.Key, m.TS, m.Scope
-	if !traced {
-		n.pipe.EnqueueAck(key, ts, m.Value, sc, to, kind)
-		return
-	}
-	start := n.tracer.Now()
-	n.pipe.Enqueue(key, ts, m.Value, sc, func() {
-		// The follower's durability wait and the acknowledgment that
-		// follows it, as two chained spans: the persist (group_commit)
-		// span always closes before the ack (val) span opens, which the
-		// trace ordering tests pin as the persist-before-ack invariant.
-		// Followers have no transaction id; spans correlate by (Key, Ver).
-		var ackStart int64
-		if traced {
-			ackStart = n.tracer.Now()
+	switch {
+	case n.tracer.Enabled() && n.tracer.SampleTxn(uint64(ts.Version)):
+		start := n.tracer.Now()
+		//minos:allow hotpathalloc -- only a sampled transaction pays for the continuation closure
+		n.pipe.Enqueue(key, ts, m.Value, sc, func() {
+			// The follower's durability wait and the acknowledgment that
+			// follows it, as two chained spans: the persist (group_commit)
+			// span always closes before the ack (val) span opens, which the
+			// trace ordering tests pin as the persist-before-ack invariant.
+			// Followers have no transaction id; spans correlate by (Key, Ver).
+			ackStart := n.tracer.Now()
 			n.tracer.Record(obs.Span{
 				Key: uint64(key), Ver: int64(ts.Version), Node: int32(n.id),
 				Role: obs.RoleFollower, Phase: obs.PhaseGroupCommit,
 				Start: start, End: ackStart,
 			})
-		}
-		n.send(to, ddp.Message{Kind: kind, Key: key, TS: ts, Scope: sc, Size: ddp.ControlSize()})
-		if traced {
+			n.sendDurableAck(to, kind, key, ts, sc)
 			n.tracer.Record(obs.Span{
 				Key: uint64(key), Ver: int64(ts.Version), Node: int32(n.id),
 				Role: obs.RoleFollower, Phase: obs.PhaseVal,
 				Start: ackStart, End: n.tracer.Now(),
 			})
+		})
+	case n.pipe.Inline():
+		if n.pipe.Enqueue(key, ts, m.Value, sc, nil) {
+			n.sendDurableAck(to, kind, key, ts, sc)
 		}
-	})
+	case nic && n.off.StageDurable(key, ts, m.Value, sc, to, kind):
+	default:
+		n.pipe.EnqueueAck(key, ts, m.Value, sc, to, kind)
+	}
 }
 
-// persistAsync pipelines the update with no completion action (Event's
-// lazy follower persist, REnf's background coordinator persist).
-func (n *Node) persistAsync(key ddp.Key, ts ddp.Timestamp, value []byte, sc ddp.ScopeID) {
-	n.pipe.Enqueue(key, ts, value, sc, nil)
+// sendDurableAck ships a durable acknowledgment. It is also the
+// pipeline's OnAck hook, where it runs on the drain engine strictly
+// after the EnqueueAck entry's group commit, so the persist-before-ack
+// order holds with no per-entry closure.
+//
+//minos:hotpath
+func (n *Node) sendDurableAck(to ddp.NodeID, kind ddp.MsgKind, key ddp.Key, ts ddp.Timestamp, sc ddp.ScopeID) {
+	n.send(to, ddp.Message{Kind: kind, Key: key, TS: ts, Scope: sc, Size: ddp.ControlSize()})
 }
 
 // persistMany flushes a scope's buffered entries as one pipelined

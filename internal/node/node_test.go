@@ -174,6 +174,56 @@ func TestScopePersist(t *testing.T) {
 	}
 }
 
+// TestMutualScopePersist: two nodes flush their own scopes at each
+// other at the same time with a real persist delay, so each node's
+// delivery goroutine parks in handlePersist (blocked on the peer
+// scope's group commit) while its own Persist waits for an [ACK_P]sc
+// queued behind that frame. The flushes must not deadlock: a parked
+// handler waits only on the durability pipeline, never on a later
+// frame.
+func TestMutualScopePersist(t *testing.T) {
+	nodes, _ := newCluster(t, 2, ddp.LinScope, func(cfg *Config) {
+		cfg.PersistDelay = 2 * time.Millisecond
+	})
+	const rounds, perScope = 5, 4
+	errs := make(chan error, len(nodes))
+	for _, nd := range nodes {
+		nd := nd
+		go func() {
+			for r := 0; r < rounds; r++ {
+				sc := nd.NewScope()
+				for i := 0; i < perScope; i++ {
+					key := ddp.Key(100*int(nd.ID()) + r*perScope + i)
+					if err := nd.WriteScoped(key, []byte{byte(r), byte(i)}, sc); err != nil {
+						errs <- err
+						return
+					}
+				}
+				if err := nd.Persist(sc); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range nodes {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatal("mutual [PERSIST]sc flushes deadlocked")
+		}
+	}
+	for _, nd := range nodes {
+		if got := nd.Log().Len(); got != len(nodes)*rounds*perScope {
+			t.Fatalf("node %d persisted %d entries, want %d", nd.ID(), got, len(nodes)*rounds*perScope)
+		}
+	}
+}
+
 func TestConcurrentWritersConverge(t *testing.T) {
 	for _, model := range ddp.Models {
 		model := model
@@ -379,35 +429,8 @@ func TestWriteAfterCloseFails(t *testing.T) {
 }
 
 func TestTCPCluster(t *testing.T) {
-	// A 3-node cluster over real TCP loopback: start every listener on
-	// an ephemeral port first, then exchange the real addresses.
-	trs := make([]*transport.TCPTransport, 3)
-	for i := 0; i < 3; i++ {
-		tr, err := transport.NewTCPTransport(ddp.NodeID(i), map[ddp.NodeID]string{
-			ddp.NodeID(i): "127.0.0.1:0",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		trs[i] = tr
-	}
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if i != j {
-				trs[i].SetPeerAddr(ddp.NodeID(j), trs[j].Addr())
-			}
-		}
-	}
-	nodes := make([]*Node, 3)
-	for i := 0; i < 3; i++ {
-		nodes[i] = New(Config{Model: ddp.LinSynch}, trs[i])
-		nodes[i].Start()
-	}
-	defer func() {
-		for _, nd := range nodes {
-			nd.Close()
-		}
-	}()
+	// A 3-node cluster over real TCP loopback.
+	nodes := newFabricCluster(t, "tcp", 3, ddp.LinSynch, nil)
 	if err := nodes[0].Write(77, []byte("over-tcp")); err != nil {
 		t.Fatal(err)
 	}

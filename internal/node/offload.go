@@ -15,11 +15,12 @@ import (
 // survive the split unchanged (DESIGN.md D13):
 //
 //   - Per-record ordering: a key is owned by exactly one side at a
-//     time, transfers are fenced on queue drain counts, and the NIC
-//     side routes by the same ddp.Key.Hash affinity as the host
-//     executor — so messages for one record are handled in transport
-//     order on whichever side owns it.
-//   - Persist-before-ack: the NIC ack path either rides the pipeline's
+//     time. Promotion needs no fence — the delivery goroutine has run
+//     every earlier message to completion before Route sees the next —
+//     demotion waits for the NIC core to drain, and a key always maps
+//     to the same core, so messages for one record are handled in
+//     transport order on whichever side owns it.
+//   - Persist-before-ack: persistThenAck either rides the pipeline's
 //     synchronous inline append (zero-latency pipelines) or stages
 //     into the dFIFO, whose drain persists the whole batch — blocking
 //     until the group commit — before any acknowledgment is sent.
@@ -50,22 +51,7 @@ func (n *Node) handleOffloaded(m ddp.Message, enq int64) {
 		n.handleOffloadedTraced(m, enq)
 		return
 	}
-	n.dispatchOffloaded(m)
-}
-
-// dispatchOffloaded is the NIC-side message switch. VAL handling is
-// identical on both sides; INV and ACK get NIC-specific halves.
-//
-//minos:hotpath
-func (n *Node) dispatchOffloaded(m ddp.Message) {
-	switch m.Kind {
-	case ddp.KindInv:
-		n.handleInvOffloaded(m)
-	case ddp.KindAck, ddp.KindAckC, ddp.KindAckP:
-		n.handleAckOffloaded(m)
-	case ddp.KindVal, ddp.KindValC, ddp.KindValP:
-		n.handleVal(m)
-	}
+	n.handleMessage(m, true)
 }
 
 // handleOffloadedTraced wraps the NIC dispatch in the two offload
@@ -84,58 +70,12 @@ func (n *Node) handleOffloadedTraced(m ddp.Message, enq int64) {
 		Role: role, Phase: obs.PhaseNICQueue,
 		Start: enq, End: start,
 	})
-	n.dispatchOffloaded(m)
+	n.handleMessage(m, true)
 	n.tracer.Record(obs.Span{
 		Key: uint64(m.Key), Ver: int64(m.TS.Version), Node: int32(n.id),
 		Role: role, Phase: obs.PhaseNICHandle,
 		Start: start, End: n.tracer.Now(),
 	})
-}
-
-// handleInvOffloaded is handleInv on a NIC core: the same volatile
-// apply, but the persist-before-ack models stage their durability
-// through the engine's dFIFO (group persist, then ack) instead of the
-// per-entry pipeline continuation.
-func (n *Node) handleInvOffloaded(m ddp.Message) {
-	if !n.applyInv(m) {
-		return
-	}
-	switch n.policy.FollowerPersist {
-	case ddp.PersistBeforeAck: // Synch: persist (L39), combined ACK (L40)
-		n.nicPersistThen(m, ddp.KindAck)
-	case ddp.PersistAfterAckC: // Strict, REnf
-		n.sendAck(m, ddp.KindAckC)
-		n.nicPersistThen(m, ddp.KindAckP)
-	case ddp.PersistBackground: // Event
-		n.sendAck(m, ddp.KindAckC)
-		n.persistAsync(m.Key, m.TS, m.Value, m.Scope)
-	case ddp.PersistOnScopeFlush: // Scope
-		n.bufferScope(m.Scope, m.Key, m.TS, m.Value)
-		n.sendAck(m, ddp.KindAckC)
-	}
-}
-
-// nicPersistThen is the NIC-side persistThen: make (key, ts, value)
-// durable, then send kind to the coordinator. On a zero-latency
-// pipeline the append completes synchronously inside Enqueue, so the
-// acknowledgment follows directly; otherwise the entry stages into the
-// dFIFO and drainDurable sends the acknowledgment only after the
-// batch's group commit — persist-before-ack either way. A full dFIFO
-// (or a sampled transaction, which needs its continuation spans) falls
-// back to the host persist path.
-//
-//minos:hotpath
-func (n *Node) nicPersistThen(m ddp.Message, kind ddp.MsgKind) {
-	traced := n.tracer.Enabled() && n.tracer.SampleTxn(uint64(m.TS.Version))
-	if !traced && n.pipe.Inline() {
-		if n.pipe.Enqueue(m.Key, m.TS, m.Value, m.Scope, nil) {
-			n.send(m.From, ddp.Message{Kind: kind, Key: m.Key, TS: m.TS, Scope: m.Scope, Size: ddp.ControlSize()})
-		}
-		return
-	}
-	if traced || !n.off.StageDurable(m.Key, m.TS, m.Value, m.Scope, m.From, kind) {
-		n.persistThenQueued(m, kind, traced)
-	}
 }
 
 // drainDurable is the engine's dFIFO sink — the NIC-side group commit.
@@ -154,93 +94,9 @@ func (n *Node) drainDurable(batch []offload.DEntry) bool {
 		return false
 	}
 	for _, e := range batch {
-		n.send(e.To, ddp.Message{Kind: e.Kind, Key: e.Key, TS: e.TS, Scope: e.Scope, Size: ddp.ControlSize()})
+		n.sendDurableAck(e.To, e.Kind, e.Key, e.TS, e.Scope)
 	}
 	return true
-}
-
-// handleAckOffloaded is handleAck on a NIC core plus the broadcast
-// FSM: when the recorded acknowledgment completes the consistency
-// quorum, the NIC fans out VAL_C itself (for the models that send it
-// at consistency) instead of waiting for the coordinator goroutine to
-// wake — the hot key's follower read stalls release one wake-up
-// earlier. The writer's own fan-out and the NIC's deduplicate through
-// wt.valCSent; the durable VAL always stays with the writer, which is
-// the only party that waits out local durability.
-//
-// Same lock order as handleAck (txnStripe.mu, then writeTxn.mu — the
-// declared edge); the record lock in nicFanoutValC is taken only after
-// both are released, so the NIC path adds no new lock-order edges.
-//
-//minos:hotpath
-func (n *Node) handleAckOffloaded(m ddp.Message) {
-	s := n.stripeFor(m.Key)
-	s.mu.Lock()
-	wt := s.pending[txnKey{m.Key, m.TS}]
-	if wt == nil {
-		s.mu.Unlock()
-		return
-	}
-	wt.mu.Lock()
-	_ = wt.txn.RecordAck(m.Kind, m.From)
-	wt.ackCn.Store(int32(wt.txn.AckCCount()))
-	wt.ackPn.Store(int32(wt.txn.AckPCount()))
-	fanout := n.policy.SendsValAtConsistency() && n.consistencyAcked(wt) &&
-		wt.valCSent.CompareAndSwap(false, true)
-	var followers []ddp.NodeID
-	if fanout {
-		// Immutable liveness snapshot: safe to use after the locks drop,
-		// even if the writer retires wt concurrently.
-		followers = wt.followers
-	}
-	if n.ackWaitSatisfiable(wt) {
-		wt.cond.Broadcast()
-	}
-	wt.mu.Unlock()
-	s.mu.Unlock()
-	if fanout {
-		n.nicFanoutValC(m.Key, m.TS, m.Scope, followers)
-	}
-}
-
-// consistencyAcked reports whether every live follower acknowledged
-// the volatile update. Caller holds wt.mu.
-//
-//minos:hotpath
-func (n *Node) consistencyAcked(wt *writeTxn) bool {
-	for _, f := range wt.followers {
-		if n.isAlive(f) && !wt.txn.AckedC(f) {
-			return false
-		}
-	}
-	return true
-}
-
-// nicFanoutValC publishes the consistency point locally and broadcasts
-// VAL_C — the same steps the writer performs after its consistency
-// wait (write.go), made idempotent by the monotonic glb advance, the
-// owner-matched RDLock release, and the valCSent guard on the send.
-func (n *Node) nicFanoutValC(key ddp.Key, ts ddp.Timestamp, sc ddp.ScopeID, followers []ddp.NodeID) {
-	r := n.store.GetOrCreate(key)
-	r.Lock()
-	r.Meta.AdvanceGlbVolatile(ts)
-	if n.policy.Release == ddp.ReleaseWhenConsistent {
-		r.ReleaseRDLockIfOwner(ts)
-	}
-	r.Wake()
-	r.Unlock()
-	n.sendVal(ddp.KindValC, key, ts, sc, followers)
-}
-
-// laneMark and laneDrained expose the executor lanes' progress to the
-// engine's promotion fence (parked dispatch mode only; the
-// run-to-completion mode needs no fence because delivery is inline).
-func (n *Node) laneMark(key ddp.Key) uint64 {
-	return n.exec.laneFor(key).enq.Load()
-}
-
-func (n *Node) laneDrained(key ddp.Key, fence uint64) bool {
-	return n.exec.laneFor(key).done.Load() >= fence
 }
 
 // Offload exposes the soft-NIC engine (nil when offload is disabled);

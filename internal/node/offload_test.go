@@ -152,26 +152,15 @@ func TestOffloadClusterLinearizable(t *testing.T) {
 }
 
 // TestOffloadRTCLinearizable runs the offloaded cluster over the ring
-// fabric in run-to-completion mode (inline delivery, no host-lane
-// fence): linearizability must survive the borrowed-frame admission
-// path too.
+// fabric (poll-token delivery): linearizability must survive the
+// borrowed-frame admission path too.
 func TestOffloadRTCLinearizable(t *testing.T) {
 	for _, model := range []ddp.Model{ddp.LinSynch, ddp.LinStrict} {
 		model := model
 		t.Run(model.String(), func(t *testing.T) {
 			t.Parallel()
-			net := transport.NewRingNetwork(3)
-			nodes := make([]*Node, 3)
-			for i := range nodes {
-				nodes[i] = NewWithOptions(net.Endpoint(ddp.NodeID(i)),
-					WithModel(model), WithRTC(RTCEnabled),
-					WithOffload(offloadTestConfig()))
-				nodes[i].Start()
-			}
-			t.Cleanup(func() {
-				for _, nd := range nodes {
-					nd.Close()
-				}
+			nodes := newFabricCluster(t, "ring", 3, model, func(_ int, cfg *Config) {
+				cfg.Offload = offloadTestConfig()
 			})
 			var mu sync.Mutex
 			var hist []histOp
@@ -205,7 +194,7 @@ func TestOffloadRTCLinearizable(t *testing.T) {
 			}
 			wg.Wait()
 			if !linearizable(hist) {
-				t.Fatalf("no legal linearization of %d ops with offload + RTC", len(hist))
+				t.Fatalf("no legal linearization of %d ops with offload over rings", len(hist))
 			}
 		})
 	}
@@ -222,9 +211,9 @@ func TestOffloadTracePhases(t *testing.T) {
 	for i := range nodes {
 		tracers[i] = obs.NewTracer(1 << 16)
 		tracers[i].SetSampleEvery(1)
-		nodes[i] = NewWithOptions(net.Endpoint(ddp.NodeID(i)),
-			WithModel(ddp.LinSynch), WithTracer(tracers[i]),
-			WithOffload(offloadTestConfig()))
+		nodes[i] = New(Config{
+			Model: ddp.LinSynch, Tracer: tracers[i], Offload: offloadTestConfig(),
+		}, net.Endpoint(ddp.NodeID(i)))
 		nodes[i].Start()
 	}
 	for i := 0; i < 30; i++ {
@@ -289,7 +278,7 @@ func TestOffloadOverflowDemotesEndToEnd(t *testing.T) {
 		MaxPromotionsPerEpoch: 1 << 20,
 		Epoch:                 -1,
 	}
-	n := NewWithOptions(net.Endpoint(1), WithModel(ddp.LinSynch), WithOffload(oc))
+	n := New(Config{Model: ddp.LinSynch, Offload: oc}, net.Endpoint(1))
 	n.Start()
 	defer n.Close()
 

@@ -5,22 +5,49 @@ import (
 	"time"
 
 	"github.com/minos-ddp/minos/internal/ddp"
+	"github.com/minos-ddp/minos/internal/offload"
 	"github.com/minos-ddp/minos/internal/transport"
 )
 
 // TestKeyAffineOrdering drives a follower directly over a raw transport
 // endpoint: a burst of INVs for one key, timestamps strictly ascending
-// in send order. The key-affine executor must apply them in arrival
-// order, so none may take the obsolete path (every INV persists and
-// every acknowledgment carries the INV's own timestamp, in order).
+// in send order. The node must apply them in arrival order, so none may
+// take the obsolete path (every INV persists and every acknowledgment
+// carries the INV's own timestamp, in order).
 // Under the old goroutine-per-message dispatch a later INV could apply
 // first, turning earlier ones into spurious obsolete entries.
 func TestKeyAffineOrdering(t *testing.T) {
+	keyAffineBurst(t, Config{Model: ddp.LinSynch})
+}
+
+// TestKeyAffineOrderingAcrossPromotion is the same burst with the
+// soft-NIC engine on and a promotion threshold in the middle of it: the
+// first INVs run on the delivery goroutine, the key is promoted, and
+// the rest run on a NIC core. Promotion is unfenced — it relies on the
+// delivery goroutine having run every earlier message to completion —
+// so the acknowledgments must still come back in exact version order.
+func TestKeyAffineOrderingAcrossPromotion(t *testing.T) {
+	n := keyAffineBurst(t, Config{Model: ddp.LinSynch, Offload: &offload.Config{
+		InitialThreshold: 64, MinThreshold: 64,
+		MaxPromotionsPerEpoch: 1 << 20,
+		Epoch:                 -1,
+	}})
+	eng := n.Offload()
+	if eng.Promotions() != 1 || eng.HostFrames() == 0 || eng.NICFrames() == 0 {
+		t.Fatalf("burst did not cross a promotion: %d promotions, %d host frames, %d NIC frames",
+			eng.Promotions(), eng.HostFrames(), eng.NICFrames())
+	}
+}
+
+// keyAffineBurst runs the TestKeyAffineOrdering burst against one
+// follower built from cfg and returns it (closed at test end).
+func keyAffineBurst(t *testing.T, cfg Config) *Node {
+	t.Helper()
 	net := transport.NewMemNetwork(2)
 	client := net.Endpoint(0) // raw: we play the coordinator by hand
-	n := New(Config{Model: ddp.LinSynch}, net.Endpoint(1))
+	n := New(cfg, net.Endpoint(1))
 	n.Start()
-	defer n.Close()
+	t.Cleanup(func() { n.Close() })
 
 	const key = ddp.Key(7)
 	const writes = 200
@@ -37,7 +64,7 @@ func TestKeyAffineOrdering(t *testing.T) {
 	}
 
 	// Collect the combined Synch ACKs; they must come back in timestamp
-	// order because the worker processed the INVs in FIFO order.
+	// order because the node processed the INVs in FIFO order.
 	got := 0
 	deadline := time.After(10 * time.Second)
 	for got < writes {
@@ -77,6 +104,7 @@ func TestKeyAffineOrdering(t *testing.T) {
 	if invs := n.Stats.InvsHandled.Load(); invs != writes {
 		t.Fatalf("handled %d INVs, want %d", invs, writes)
 	}
+	return n
 }
 
 // TestNodeGroupCommit exercises the node-level half of the group-commit

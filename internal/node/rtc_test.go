@@ -12,26 +12,64 @@ import (
 	"github.com/minos-ddp/minos/internal/transport"
 )
 
-// This file pins the run-to-completion coordinator mode against the
-// parked baseline over the shared-memory ring fabric: same
-// linearizability verdicts, same trace-span structure. The ring fabric
-// is the only one exposing transport.InlinePoller, so it is where the
-// two dispatch modes genuinely diverge (RTCDisabled falls back to the
-// channel recvLoop even over rings).
+// This file pins the protocol's behaviour across the delivery shapes a
+// node runs over — same linearizability verdicts, same trace-span
+// structure. Every fabric feeds the same handleFrame; what differs is
+// who calls it and who owns the frame's bytes:
+//
+//   - mem:  recvLoop drains a channel of queued, sender-owned frames;
+//   - ring: whichever goroutine holds the poll token (the endpoint's
+//     poller or a coordinator spinning in its ack wait) delivers frames
+//     that borrow ring storage;
+//   - tcp:  recvLoop again, behind the batched loopback wire path.
+var fabrics = []string{"mem", "ring", "tcp"}
 
-// newRingCluster builds an n-node cluster over shared-memory rings with
-// the given run-to-completion mode. Closing the nodes closes their ring
-// endpoints.
-func newRingCluster(t *testing.T, n int, model ddp.Model, rtc RTCMode, tracers []*obs.Tracer) []*Node {
+// newFabricCluster builds and starts an n-node cluster over the named
+// fabric; mutate (optional) adjusts node i's config. Closing the nodes
+// closes their endpoints.
+func newFabricCluster(t *testing.T, fabric string, n int, model ddp.Model, mutate func(i int, cfg *Config)) []*Node {
 	t.Helper()
-	net := transport.NewRingNetwork(n)
-	nodes := make([]*Node, n)
-	for i := 0; i < n; i++ {
-		opts := []Option{WithModel(model), WithRTC(rtc)}
-		if tracers != nil {
-			opts = append(opts, WithTracer(tracers[i]))
+	eps := make([]transport.Transport, n)
+	switch fabric {
+	case "mem":
+		net := transport.NewMemNetwork(n)
+		for i := range eps {
+			eps[i] = net.Endpoint(ddp.NodeID(i))
 		}
-		nodes[i] = NewWithOptions(net.Endpoint(ddp.NodeID(i)), opts...)
+	case "ring":
+		net := transport.NewRingNetwork(n)
+		for i := range eps {
+			eps[i] = net.Endpoint(ddp.NodeID(i))
+		}
+	case "tcp":
+		// Start every listener on an ephemeral port first, then exchange
+		// the real addresses.
+		trs := make([]*transport.TCPTransport, n)
+		for i := range trs {
+			tr, err := transport.NewTCPTransport(ddp.NodeID(i),
+				map[ddp.NodeID]string{ddp.NodeID(i): "127.0.0.1:0"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			trs[i], eps[i] = tr, tr
+		}
+		for i := range trs {
+			for j := range trs {
+				if i != j {
+					trs[i].SetPeerAddr(ddp.NodeID(j), trs[j].Addr())
+				}
+			}
+		}
+	default:
+		t.Fatalf("unknown fabric %q", fabric)
+	}
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		cfg := Config{Model: model}
+		if mutate != nil {
+			mutate(i, &cfg)
+		}
+		nodes[i] = New(cfg, eps[i])
 		nodes[i].Start()
 	}
 	t.Cleanup(func() {
@@ -43,114 +81,113 @@ func newRingCluster(t *testing.T, n int, model ddp.Model, rtc RTCMode, tracers [
 }
 
 // TestRingClusterReplicates smoke-tests every model over the ring
-// fabric in both dispatch modes: a write from one node converges
-// everywhere.
+// fabric: a write from one node converges everywhere.
 func TestRingClusterReplicates(t *testing.T) {
 	for _, model := range ddp.Models {
 		model := model
 		t.Run(model.String(), func(t *testing.T) {
 			t.Parallel()
-			for _, rtc := range []RTCMode{RTCEnabled, RTCDisabled} {
-				nodes := newRingCluster(t, 3, model, rtc, nil)
-				wantInline := rtc == RTCEnabled
-				for _, nd := range nodes {
-					if nd.inline != wantInline {
-						t.Fatalf("rtc=%v: node %d inline=%v, want %v",
-							rtc, nd.ID(), nd.inline, wantInline)
-					}
-				}
-				if err := nodes[1].Write(9, []byte("ring-v")); err != nil {
-					t.Fatal(err)
-				}
-				waitConverged(t, nodes, 9, []byte("ring-v"))
+			nodes := newFabricCluster(t, "ring", 3, model, nil)
+			if err := nodes[1].Write(9, []byte("ring-v")); err != nil {
+				t.Fatal(err)
 			}
+			waitConverged(t, nodes, 9, []byte("ring-v"))
 		})
 	}
 }
 
 // TestRTCLinearizableEquivalence runs the same concurrent read/write
-// shape as TestLiveClusterIsLinearizable over the ring fabric, once per
-// dispatch mode, and requires a legal linearization from both. The
-// run-to-completion fast path must not reorder the protocol's visible
-// history.
+// shape as TestLiveClusterIsLinearizable over every fabric, with the
+// soft-NIC engine off and on, and requires a legal linearization from
+// each. Where a frame is delivered — and whether its key is host- or
+// NIC-owned — must not reorder the protocol's visible history.
 func TestRTCLinearizableEquivalence(t *testing.T) {
 	for _, model := range ddp.Models {
 		model := model
 		t.Run(model.String(), func(t *testing.T) {
 			t.Parallel()
-			for _, rtc := range []RTCMode{RTCEnabled, RTCDisabled} {
-				rtcName := "rtc"
-				if rtc == RTCDisabled {
-					rtcName = "parked"
-				}
-				for round := 0; round < 3; round++ {
-					nodes := newRingCluster(t, 3, model, rtc, nil)
-					var mu sync.Mutex
-					var hist []histOp
-					record := func(op histOp) {
-						mu.Lock()
-						hist = append(hist, op)
-						mu.Unlock()
+			for _, fabric := range fabrics {
+				for _, off := range []bool{false, true} {
+					shape := fabric
+					if off {
+						shape += "+offload"
 					}
-					var wg sync.WaitGroup
-					for _, nd := range nodes {
-						nd := nd
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							for i := 0; i < 2; i++ {
-								v := fmt.Sprintf("%s-n%d-%d-%d", rtcName, nd.ID(), round, i)
-								start := time.Now()
-								if err := nd.Write(1, []byte(v)); err != nil {
-									t.Errorf("write: %v", err)
-									return
-								}
-								record(histOp{isWrite: true, value: v, start: start, end: time.Now()})
+					for round := 0; round < 3; round++ {
+						nodes := newFabricCluster(t, fabric, 3, model, func(_ int, cfg *Config) {
+							if off {
+								cfg.Offload = offloadTestConfig()
 							}
-						}()
-					}
-					for _, nd := range nodes {
-						nd := nd
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							// Alternate the copying Read and the zero-alloc
-							// ReadInto (with a recycled buffer) so both read
-							// entry points feed the linearizability check.
-							buf := make([]byte, 0, 64)
-							for i := 0; i < 3; i++ {
-								start := time.Now()
-								var v []byte
-								var err error
-								if i%2 == 0 {
-									v, err = nd.Read(1)
-								} else {
-									v, err = nd.ReadInto(1, buf[:0])
-								}
-								if err != nil {
-									t.Errorf("read: %v", err)
-									return
-								}
-								record(histOp{isWrite: false, value: string(v), start: start, end: time.Now()})
-								if i%2 != 0 && v != nil {
-									buf = v
-								}
-								time.Sleep(time.Duration(i) * 200 * time.Microsecond)
-							}
-						}()
-					}
-					wg.Wait()
-					if !linearizable(hist) {
-						for _, op := range hist {
-							kind := "R"
-							if op.isWrite {
-								kind = "W"
-							}
-							t.Logf("%s(%q) [%d, %d]ns", kind, op.value,
-								op.start.UnixNano(), op.end.UnixNano())
+						})
+						var mu sync.Mutex
+						var hist []histOp
+						record := func(op histOp) {
+							mu.Lock()
+							hist = append(hist, op)
+							mu.Unlock()
 						}
-						t.Fatalf("%s round %d: no legal linearization of %d ops",
-							rtcName, round, len(hist))
+						var wg sync.WaitGroup
+						for _, nd := range nodes {
+							nd := nd
+							wg.Add(1)
+							go func() {
+								defer wg.Done()
+								for i := 0; i < 2; i++ {
+									v := fmt.Sprintf("%s-n%d-%d-%d", shape, nd.ID(), round, i)
+									start := time.Now()
+									if err := nd.Write(1, []byte(v)); err != nil {
+										t.Errorf("write: %v", err)
+										return
+									}
+									record(histOp{isWrite: true, value: v, start: start, end: time.Now()})
+								}
+							}()
+						}
+						for _, nd := range nodes {
+							nd := nd
+							wg.Add(1)
+							go func() {
+								defer wg.Done()
+								// Alternate the copying Read and the zero-alloc
+								// ReadInto (with a recycled buffer) so both read
+								// entry points feed the linearizability check.
+								buf := make([]byte, 0, 64)
+								for i := 0; i < 3; i++ {
+									start := time.Now()
+									var v []byte
+									var err error
+									if i%2 == 0 {
+										v, err = nd.Read(1)
+									} else {
+										v, err = nd.ReadInto(1, buf[:0])
+									}
+									if err != nil {
+										t.Errorf("read: %v", err)
+										return
+									}
+									record(histOp{isWrite: false, value: string(v), start: start, end: time.Now()})
+									if i%2 != 0 && v != nil {
+										buf = v
+									}
+									time.Sleep(time.Duration(i) * 200 * time.Microsecond)
+								}
+							}()
+						}
+						wg.Wait()
+						if !linearizable(hist) {
+							for _, op := range hist {
+								kind := "R"
+								if op.isWrite {
+									kind = "W"
+								}
+								t.Logf("%s(%q) [%d, %d]ns", kind, op.value,
+									op.start.UnixNano(), op.end.UnixNano())
+							}
+							t.Fatalf("%s round %d: no legal linearization of %d ops",
+								shape, round, len(hist))
+						}
+						for _, nd := range nodes {
+							nd.Close()
+						}
 					}
 				}
 			}
@@ -158,20 +195,18 @@ func TestRTCLinearizableEquivalence(t *testing.T) {
 	}
 }
 
-// ringTraceRun drives a fixed serial write sequence from node 0 over a
-// fully-traced ring cluster and returns per-node spans after Close has
-// flushed the pipelines.
-func ringTraceRun(t *testing.T, model ddp.Model, rtc RTCMode) [][]obs.Span {
+// fabricTraceRun drives a fixed serial write sequence from node 0 over
+// a fully-traced cluster on the named fabric and returns per-node spans
+// after Close has flushed the pipelines.
+func fabricTraceRun(t *testing.T, model ddp.Model, fabric string) [][]obs.Span {
 	t.Helper()
-	net := transport.NewRingNetwork(3)
 	tracers := make([]*obs.Tracer, 3)
-	nodes := make([]*Node, 3)
-	for i := range nodes {
+	for i := range tracers {
 		tracers[i] = obs.NewTracer(0)
-		nodes[i] = NewWithOptions(net.Endpoint(ddp.NodeID(i)),
-			WithModel(model), WithRTC(rtc), WithTracer(tracers[i]))
-		nodes[i].Start()
 	}
+	nodes := newFabricCluster(t, fabric, 3, model, func(i int, cfg *Config) {
+		cfg.Tracer = tracers[i]
+	})
 	for i := 0; i < 12; i++ {
 		if err := nodes[0].Write(ddp.Key(i%3), []byte(fmt.Sprintf("rt-%d", i))); err != nil {
 			t.Fatalf("write: %v", err)
@@ -243,28 +278,30 @@ func coordPhaseSeqs(t *testing.T, perNode [][]obs.Span) []string {
 	return seqs
 }
 
-// TestRTCTraceEquivalence: the run-to-completion and parked paths must
-// record the same coordinator phase structure for the same serial write
-// sequence — identical multisets of per-transaction phase sequences —
-// and both must satisfy the persist-before-ack span ordering. Fast
-// dispatch may change timings, never the protocol's traced shape.
+// TestRTCTraceEquivalence: every fabric must record the same
+// coordinator phase structure for the same serial write sequence —
+// identical multisets of per-transaction phase sequences — and each
+// must satisfy the persist-before-ack span ordering. Where delivery
+// runs may change timings, never the protocol's traced shape.
 func TestRTCTraceEquivalence(t *testing.T) {
 	for _, model := range []ddp.Model{ddp.LinSynch, ddp.LinStrict, ddp.LinEvent} {
 		model := model
 		t.Run(model.String(), func(t *testing.T) {
 			t.Parallel()
-			fast := coordPhaseSeqs(t, ringTraceRun(t, model, RTCEnabled))
-			parked := coordPhaseSeqs(t, ringTraceRun(t, model, RTCDisabled))
-			if len(fast) == 0 {
+			want := coordPhaseSeqs(t, fabricTraceRun(t, model, fabrics[0]))
+			if len(want) == 0 {
 				t.Fatal("no coordinator transactions traced")
 			}
-			if len(fast) != len(parked) {
-				t.Fatalf("traced %d txns under rtc, %d parked", len(fast), len(parked))
-			}
-			for i := range fast {
-				if fast[i] != parked[i] {
-					t.Fatalf("phase sequence diverges:\n  rtc:    %s\n  parked: %s",
-						fast[i], parked[i])
+			for _, fabric := range fabrics[1:] {
+				got := coordPhaseSeqs(t, fabricTraceRun(t, model, fabric))
+				if len(got) != len(want) {
+					t.Fatalf("traced %d txns over %s, %d over %s", len(want), fabrics[0], len(got), fabric)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("phase sequence diverges:\n  %s: %s\n  %s: %s",
+							fabrics[0], want[i], fabric, got[i])
+					}
 				}
 			}
 		})

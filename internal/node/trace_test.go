@@ -23,8 +23,7 @@ func tracedChaosCluster(t *testing.T, model ddp.Model) [][]obs.Span {
 	tracers := make([]*obs.Tracer, 3)
 	for i := range nodes {
 		tracers[i] = obs.NewTracer(0)
-		nodes[i] = NewWithOptions(chaos.Endpoint(ddp.NodeID(i)),
-			WithModel(model), WithTracer(tracers[i]))
+		nodes[i] = New(Config{Model: model, Tracer: tracers[i]}, chaos.Endpoint(ddp.NodeID(i)))
 		nodes[i].Start()
 	}
 
@@ -152,8 +151,8 @@ func TestTracerSampling(t *testing.T) {
 	tr := obs.NewTracer(0)
 	tr.SetSampleEvery(4)
 	nodes := []*Node{
-		NewWithOptions(net.Endpoint(0), WithModel(ddp.LinEvent), WithTracer(tr)),
-		NewWithOptions(net.Endpoint(1), WithModel(ddp.LinEvent)),
+		New(Config{Model: ddp.LinEvent, Tracer: tr}, net.Endpoint(0)),
+		New(Config{Model: ddp.LinEvent}, net.Endpoint(1)),
 	}
 	for _, nd := range nodes {
 		nd.Start()
@@ -180,41 +179,5 @@ func TestTracerSampling(t *testing.T) {
 	}
 	if len(txns) != 4 {
 		t.Fatalf("traced %d of 16 transactions at 1-in-4, want 4", len(txns))
-	}
-}
-
-// TestNewWithOptions: the options face builds the same node New does,
-// with every knob applied.
-func TestNewWithOptions(t *testing.T) {
-	net := transport.NewMemNetwork(2)
-	tr := obs.NewTracer(64)
-	n := NewWithOptions(net.Endpoint(0),
-		WithModel(ddp.LinStrict),
-		WithPersistDelay(time.Microsecond),
-		WithShards(4),
-		WithDispatchWorkers(2),
-		WithPersistDrains(2),
-		WithTracer(tr),
-	)
-	peer := NewWithOptions(net.Endpoint(1), WithModel(ddp.LinStrict))
-	n.Start()
-	peer.Start()
-	defer n.Close()
-	defer peer.Close()
-
-	if n.Model() != ddp.LinStrict {
-		t.Fatalf("model = %v", n.Model())
-	}
-	if n.Tracer() != tr {
-		t.Fatal("tracer option not applied")
-	}
-	if err := n.Write(1, []byte("opt")); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Recorded() == 0 {
-		t.Fatal("traced node recorded no spans")
-	}
-	if got := n.Stats.Writes.Load(); got != 1 {
-		t.Fatalf("writes = %d", got)
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"github.com/minos-ddp/minos/internal/transport"
 )
 
-// This file implements release-side VAL coalescing for run-to-completion
-// mode: back-to-back commits stage their VAL/VAL_C/VAL_P broadcasts and
+// This file implements release-side VAL coalescing over inline-polling
+// transports: back-to-back commits stage their VAL/VAL_C/VAL_P broadcasts and
 // the next outbound message (or a short ticker) flushes the stage as one
 // KindValBatch frame — one encode, one fan-out, instead of one per
 // commit. Reordering a VAL behind later traffic is safe — the glb_*
@@ -35,7 +35,7 @@ type valStage struct {
 	mu    sync.Mutex
 	buf   []byte
 	count int
-	// staged mirrors count atomically so the RTC spin loops can poll
+	// staged mirrors count atomically so the ack-wait spin loop can poll
 	// "anything to flush?" without bouncing the mutex on every round.
 	staged atomic.Int32
 }
@@ -54,7 +54,7 @@ func (n *Node) stageVal(kind ddp.MsgKind, key ddp.Key, ts ddp.Timestamp, sc ddp.
 }
 
 // flushVals broadcasts anything staged. Called at the top of every send
-// path (FIFO with later traffic), from the RTC ack-wait spin loops (a
+// path (FIFO with later traffic), from the ack-wait spin loop (a
 // waiting coordinator must not sit on the releases its peers need),
 // and from the ticker (bounded latency when idle).
 //
@@ -109,7 +109,7 @@ func (n *Node) handleValBatch(m ddp.Message) {
 		e := ddp.DecodeValEntry(b)
 		e.From = m.From
 		e.Size = ddp.ControlSize()
-		n.handleMessage(e)
+		n.handleMessage(e, false)
 		b = b[valEntryBytes:]
 	}
 }

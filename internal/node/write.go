@@ -90,7 +90,7 @@ func (n *Node) writeScoped(key ddp.Key, value []byte, sc ddp.ScopeID) error {
 	n.sendAll(followers, inv) // L11: send INVs (broadcast when all alive)
 	tc.mark(obs.PhaseInvFanout)
 
-	r.Publish(value, ts) // L12: update local volatile state (seqlocked)
+	r.Publish(value, ts)  // L12: update local volatile state (seqlocked)
 	r.Meta.WRLock = false // L13
 	r.Wake()
 	r.Unlock()
@@ -102,7 +102,7 @@ func (n *Node) writeScoped(key ddp.Key, value []byte, sc ddp.ScopeID) error {
 	switch n.policy.CoordPersist {
 	case ddp.CoordPersistInline:
 		tc.mark(obs.PhasePersistEnqueue)
-		if !n.persist(key, ts, value, sc) {
+		if !n.pipe.Persist(key, ts, value, sc) {
 			n.removePending(key, ts)
 			return ErrClosed
 		}
@@ -111,7 +111,7 @@ func (n *Node) writeScoped(key ddp.Key, value []byte, sc ddp.ScopeID) error {
 		// The pipeline copies the value and drains in the background;
 		// no goroutine per write. waitLocallyDurable picks the result
 		// up later via the batch wake.
-		n.persistAsync(key, ts, value, sc)
+		n.pipe.Enqueue(key, ts, value, sc, nil)
 		tc.mark(obs.PhasePersistEnqueue)
 	case ddp.CoordPersistOnScopeFlush:
 		n.bufferScope(sc, key, ts, value)
@@ -119,7 +119,7 @@ func (n *Node) writeScoped(key ddp.Key, value []byte, sc ddp.ScopeID) error {
 	}
 
 	// Step e: spin for consistency acknowledgments.
-	if err := n.waitConsistencyFast(wt); err != nil {
+	if err := n.waitAcks(wt, false); err != nil {
 		n.removePending(key, ts)
 		return err
 	}
@@ -133,9 +133,8 @@ func (n *Node) writeScoped(key ddp.Key, value []byte, sc ddp.ScopeID) error {
 	}
 	r.Unlock()
 	if n.policy.SendsValAtConsistency() {
-		// With offload enabled the NIC's broadcast FSM may have fanned
-		// VAL_C out already (handleAckOffloaded, on the final ack); the
-		// CAS makes exactly one of the two broadcasts happen.
+		// handleAck may have fanned VAL_C out already, on the final ack;
+		// the CAS makes exactly one of the two broadcasts happen.
 		if wt.valCSent.CompareAndSwap(false, true) {
 			n.sendVal(ddp.KindValC, key, ts, sc, followers)
 		}
@@ -172,7 +171,7 @@ func (n *Node) writeScoped(key ddp.Key, value []byte, sc ddp.ScopeID) error {
 // the RDLock where the model demands, send the durable VAL, retire.
 func (n *Node) finishDurable(r *kv.Record, wt *writeTxn, key ddp.Key, ts ddp.Timestamp, sc ddp.ScopeID, followers []ddp.NodeID, tc *traceCtx) error {
 	defer n.removePending(key, ts)
-	if err := n.waitPersistencyFast(wt); err != nil {
+	if err := n.waitAcks(wt, true); err != nil {
 		return err
 	}
 	tc.mark(obs.PhaseAckWait) // second ack wait: the persistency spin
@@ -196,7 +195,7 @@ func (n *Node) finishDurable(r *kv.Record, wt *writeTxn, key ddp.Key, ts ddp.Tim
 
 func (n *Node) sendVal(kind ddp.MsgKind, key ddp.Key, ts ddp.Timestamp, sc ddp.ScopeID, followers []ddp.NodeID) {
 	if n.vals != nil && len(followers) == len(n.peers) {
-		// Run-to-completion mode: stage the validation; the next
+		// Stage the validation; the next
 		// outbound message (or the flush ticker) broadcasts it, letting
 		// back-to-back commits share one encode+fan-out (valbatch.go).
 		n.stageVal(kind, key, ts, sc)
@@ -206,65 +205,45 @@ func (n *Node) sendVal(kind ddp.MsgKind, key ddp.Key, ts ddp.Timestamp, sc ddp.S
 	n.sendAll(followers, val)
 }
 
-// Run-to-completion ack-wait tuning: a coordinator spins this many
-// rounds — each one either draining inbound frames itself (PollInline)
-// or yielding the processor — before falling back to the parked wait.
+// Inline-polling ack-wait tuning: a coordinator spins this many rounds
+// — each one either draining inbound frames itself (PollInline) or
+// yielding the processor — before falling back to the parked wait.
 // Over the ring fabric at zero persist delay the whole INV→ACK round
 // trip completes within a few rounds; the parked path remains the
 // fallback for slow acks and for followers that die mid-write.
 const (
-	rtcSpinRounds = 256
-	rtcPollBudget = 32
+	ackSpinRounds = 256
+	ackPollBudget = 32
 )
 
-// waitConsistencyFast is the run-to-completion consistency wait: spin
-// on the atomic ack count, driving the transport's receive path inline
-// so the acks this coordinator is waiting for are processed on its own
-// goroutine. Falls back to the parked wait (which also understands
-// follower death) when the spin budget runs out.
+// waitAcks blocks until every live follower acknowledged the volatile
+// update (or, with persistency set, the persist — vacuous for models
+// that do not track persistency). Over an inline-polling transport it
+// first spins on the atomic ack count, driving the receive path itself
+// so the acks it is waiting for are processed on its own goroutine;
+// otherwise, and when the spin budget runs out, it parks on the
+// transaction's condition variable. Followers that fail mid-write stop
+// being waited for when the detector declares them.
 //
 //minos:hotpath
-func (n *Node) waitConsistencyFast(wt *writeTxn) error {
-	if n.inline {
-		need := int32(len(wt.followers))
-		for spin := 0; spin < rtcSpinRounds; spin++ {
-			if wt.ackCn.Load() >= need {
+func (n *Node) waitAcks(wt *writeTxn, persistency bool) error {
+	if n.poller != nil {
+		count, need := &wt.ackCn, int32(len(wt.followers))
+		if persistency {
+			count = &wt.ackPn
+		}
+		for spin := 0; spin < ackSpinRounds; spin++ {
+			if count.Load() >= need {
 				return nil
 			}
 			// A spinning coordinator must not sit on staged VAL
 			// releases: its peers' hot-key writes wait on them.
 			n.flushVals()
-			if n.poller.PollInline(rtcPollBudget) == 0 {
+			if n.poller.PollInline(ackPollBudget) == 0 {
 				runtime.Gosched()
 			}
 		}
 	}
-	return n.waitConsistency(wt)
-}
-
-// waitPersistencyFast is waitConsistencyFast for the persistency acks.
-//
-//minos:hotpath
-func (n *Node) waitPersistencyFast(wt *writeTxn) error {
-	if n.inline {
-		need := int32(len(wt.followers))
-		for spin := 0; spin < rtcSpinRounds; spin++ {
-			if wt.ackPn.Load() >= need {
-				return nil
-			}
-			n.flushVals()
-			if n.poller.PollInline(rtcPollBudget) == 0 {
-				runtime.Gosched()
-			}
-		}
-	}
-	return n.waitPersistency(wt)
-}
-
-// waitConsistency blocks until every live follower acknowledged the
-// volatile update. Followers that fail mid-write stop being waited for
-// when the detector declares them.
-func (n *Node) waitConsistency(wt *writeTxn) error {
 	// Parked waiters cannot piggyback flushes; drain the stage before
 	// blocking so peers are not left waiting on our releases.
 	n.flushVals()
@@ -274,42 +253,26 @@ func (n *Node) waitConsistency(wt *writeTxn) error {
 		if n.closed.Load() {
 			return ErrClosed
 		}
-		done := true
-		for _, f := range wt.followers {
-			if !wt.txn.AckedC(f) && n.isAlive(f) {
-				done = false
-				break
-			}
-		}
-		if done {
+		if doneC, doneP := n.acked(wt); persistency && doneP || !persistency && doneC {
 			return nil
 		}
 		wt.cond.Wait()
 	}
 }
 
-// waitPersistency blocks until every live follower acknowledged the
-// persist (vacuous for models that do not track persistency).
-func (n *Node) waitPersistency(wt *writeTxn) error {
-	n.flushVals()
-	wt.mu.Lock()
-	defer wt.mu.Unlock()
-	for {
-		if n.closed.Load() {
-			return ErrClosed
+// acked reports whether every live follower's consistency (doneC) and
+// persistency (doneP) acknowledgment is recorded. Caller holds wt.mu.
+//
+//minos:hotpath
+func (n *Node) acked(wt *writeTxn) (doneC, doneP bool) {
+	doneC, doneP = true, true
+	for _, f := range wt.followers {
+		if n.isAlive(f) {
+			doneC = doneC && wt.txn.AckedC(f)
+			doneP = doneP && wt.txn.AckedP(f)
 		}
-		done := true
-		for _, f := range wt.followers {
-			if !wt.txn.AckedP(f) && n.isAlive(f) {
-				done = false
-				break
-			}
-		}
-		if done {
-			return nil
-		}
-		wt.cond.Wait()
 	}
+	return doneC, doneP
 }
 
 // waitLocallyDurable blocks until the local log holds ts (the local

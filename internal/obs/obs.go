@@ -4,12 +4,10 @@
 // recorder whose span taxonomy mirrors the paper's write-transaction
 // phases (Fig 2 / Fig 4).
 //
-// Before this package the runtime reported itself through three
-// mutually incompatible surfaces — transport.TransportStats,
-// sim.Kernel.Stats, and livebench.Result's ad-hoc fields — and the NVM
-// pipeline exposed nothing at all. Every one of those now implements
-// the single Source interface below, so "where did the microseconds
-// go" has exactly one answer shape at every layer: a Snapshot.
+// Every layer that reports itself — the transports, the sim kernel, the
+// NVM pipeline, the node, the offload engine — implements the single
+// Source interface below, so "where did the microseconds go" has
+// exactly one answer shape at every layer: a Snapshot.
 //
 // Design constraints, in order:
 //
@@ -33,9 +31,6 @@ import (
 )
 
 // Source is anything that can contribute instruments to a Snapshot.
-// It replaces the three divergent stats surfaces that predate this
-// package (transport.TransportStats, sim.Kernel.Stats, and
-// livebench.Result's transport plumbing).
 type Source interface {
 	// Describe returns the source's stable dotted name prefix (for
 	// example "transport" or "nvm.pipeline"). Every instrument the

@@ -4,9 +4,9 @@
 // cores) drains per-core bounded vFIFOs of volatile protocol work —
 // INV apply, ack counting, VAL fan-out — while a shared bounded dFIFO
 // stages follower persists for group commit, mirroring the paper's
-// §V-B vFIFO/dFIFO split. Keys are routed to the NIC pool by the same
-// ddp.Key.Hash affinity the host executor uses, so per-key FIFO is
-// preserved on either side of the boundary.
+// §V-B vFIFO/dFIFO split. A key always maps to the same core
+// (ddp.Key.Hash affinity), so per-key FIFO is preserved on either side
+// of the boundary.
 //
 // The boundary is adaptive. A fixed-size heat table (epoch-bucketed
 // counters, one atomic word per slot) promotes keys that cross a
@@ -14,9 +14,11 @@
 // feedback rule in policy.go from the observed promotion, budget-denial
 // and overflow rates. A vFIFO overflow demotes its key back to the
 // host path — backpressure degrades the offload gracefully instead of
-// stalling writers — and ownership transfers in both directions are
-// fenced on queue drain counts so no message ever overtakes an earlier
-// same-key message queued on the other side.
+// stalling writers. Ownership transfers never reorder a key's messages:
+// the host side runs each message to completion before Route sees the
+// next, so promotion is immediate, and demotion is fenced on the core's
+// drain count so no host-handled message overtakes one still queued in
+// the vFIFO.
 package offload
 
 import (
@@ -92,16 +94,6 @@ type Config struct {
 	// Value past its return. A false return (the node is closing) stops
 	// nothing — the drain loop keeps feeding batches until Close.
 	Durable func(batch []DEntry) bool
-	// HostFence and HostDrained expose the host dispatch queues'
-	// admission/completion counts for the key's lane. They gate
-	// promotion: a key flips to the NIC path only once the host lane
-	// has drained past the fence taken at promotion time, so queued
-	// host messages cannot be overtaken. Leave nil when host dispatch
-	// is inline (run-to-completion mode): delivery order then already
-	// guarantees the previous message completed, and promotion takes
-	// effect immediately.
-	HostFence   func(key ddp.Key) uint64
-	HostDrained func(key ddp.Key, fence uint64) bool
 	// Now, when non-nil, stamps vFIFO admissions so the handler can
 	// attribute queue residency (the PhaseNICQueue trace span). Nil
 	// disables stamping and the hot path pays no clock read.
@@ -156,15 +148,11 @@ func ceilPow2(v int) int {
 }
 
 // Slot offload states. Transitions only happen inside Route, which the
-// node calls from its single delivery goroutine (recvLoop or the
-// poll-token holder), so state moves are stores; the fields stay
-// atomic because NIC cores and the epoch ticker read them concurrently.
+// node calls from its delivery goroutine (one caller at a time), so
+// state moves are stores; the fields stay atomic because NIC cores and
+// the epoch ticker read them concurrently.
 const (
 	slotHost uint32 = iota
-	// slotPromoting: the key qualified but the host lane still holds
-	// queued messages for it; traffic keeps routing host (advancing the
-	// fence) until the lane drains past the fence.
-	slotPromoting
 	slotOffloaded
 	// slotDraining: the key was demoted (vFIFO overflow) but its vFIFO
 	// still holds queued messages; traffic keeps routing NIC (behind
@@ -178,8 +166,8 @@ type slot struct {
 	// resets with a single CAS on the first touch of a new epoch.
 	heat  atomic.Uint64
 	state atomic.Uint32
-	// fence is a host-lane admission count in slotPromoting and a NIC
-	// core admission count in slotDraining.
+	// fence is the NIC core admission count a slotDraining slot waits
+	// for the core's completion count to pass.
 	fence atomic.Uint64
 	// cool is the epoch before which a demoted slot may not re-promote.
 	cool atomic.Uint32
@@ -202,8 +190,8 @@ func (s *slot) touch(epoch uint32) uint32 {
 }
 
 // vEntry is one vFIFO element; buf owns a copy of the message value so
-// borrowed transport storage (run-to-completion frames) never escapes
-// the delivery callback.
+// borrowed transport storage (inline-polled frames) never escapes the
+// delivery callback.
 type vEntry struct {
 	m   ddp.Message
 	buf []byte
@@ -217,7 +205,7 @@ type dEntry struct {
 }
 
 // nicCore is one soft-NIC core: a bounded vFIFO and the monotonic
-// admission/completion counts the ownership fences read.
+// admission/completion counts the demotion fence reads.
 type nicCore struct {
 	q    chan *vEntry
 	enq  atomic.Uint64
@@ -361,9 +349,11 @@ func (e *Engine) coreFor(h uint64) *nicCore { return e.cores[h&e.coreMask] }
 
 // Route decides which side of the offload boundary handles m and, when
 // the answer is the NIC pool, enqueues it there. A false return means
-// the caller must run the message through the host path. Route must be
-// called from the node's single delivery goroutine — that serialization
-// is what makes the per-key ownership transitions raceless.
+// the caller must run the message through the host path, to completion,
+// before routing the next one. Route must be called from one goroutine
+// at a time (the node's delivery goroutine) — that serialization is
+// what makes the per-key ownership transitions raceless, and the
+// run-to-completion contract is what lets promotion skip a fence.
 //
 //minos:hotpath
 func (e *Engine) Route(m ddp.Message) bool {
@@ -375,27 +365,10 @@ func (e *Engine) Route(m ddp.Message) bool {
 	heat := s.touch(e.epoch.Load())
 	switch s.state.Load() {
 	case slotHost:
-		if heat < e.threshold.Load() || !e.tryPromote(s, m.Key) {
+		if heat < e.threshold.Load() || !e.tryPromote(s) {
 			e.hostRouted()
 			return false
 		}
-		if s.state.Load() != slotOffloaded {
-			// Promotion granted but fenced on the host lane's drain
-			// (slotPromoting); this message still runs host, behind its
-			// queued predecessors.
-			e.hostRouted()
-			return false
-		}
-	case slotPromoting:
-		if !e.cfg.HostDrained(m.Key, s.fence.Load()) {
-			// The host lane still holds earlier messages for this key:
-			// keep routing host, and advance the fence over the message
-			// the caller is about to dispatch so it too is waited out.
-			s.fence.Store(e.cfg.HostFence(m.Key) + 1)
-			e.hostRouted()
-			return false
-		}
-		s.state.Store(slotOffloaded)
 	case slotOffloaded:
 		// Fall through to the enqueue below.
 	case slotDraining:
@@ -449,10 +422,9 @@ func (e *Engine) Route(m ddp.Message) bool {
 }
 
 // tryPromote installs the slot onto the NIC path if the cooldown and
-// the per-epoch budget allow. With inline host dispatch (no fence
-// callbacks) ownership transfers immediately; otherwise the slot parks
-// in slotPromoting until the host lane drains.
-func (e *Engine) tryPromote(s *slot, key ddp.Key) bool {
+// the per-epoch budget allow. Ownership transfers immediately: every
+// earlier host-routed message has already run to completion.
+func (e *Engine) tryPromote(s *slot) bool {
 	if s.cool.Load() > e.epoch.Load() {
 		return false
 	}
@@ -464,19 +436,13 @@ func (e *Engine) tryPromote(s *slot, key ddp.Key) bool {
 	e.promotions.Add(1)
 	e.epPromoted.Add(1)
 	e.offloadedG.Add(1)
-	if e.cfg.HostFence == nil {
-		s.state.Store(slotOffloaded)
-		return true
-	}
-	// +1 covers the message the caller is about to dispatch host-side.
-	s.fence.Store(e.cfg.HostFence(key) + 1)
-	s.state.Store(slotPromoting)
+	s.state.Store(slotOffloaded)
 	return true
 }
 
 // admit checks a vFIFO entry out of the pool, copying the message
-// value into engine-owned storage (transport frames may borrow their
-// buffers in run-to-completion mode).
+// value into engine-owned storage (inline-polled transport frames
+// borrow their buffers).
 func (e *Engine) admit(m ddp.Message) *vEntry {
 	ent := e.ventries.Get().(*vEntry)
 	ent.m = m
@@ -550,7 +516,7 @@ func (e *Engine) StageDurable(key ddp.Key, ts ddp.Timestamp, value []byte, sc dd
 }
 
 // coreLoop is one soft-NIC core: drain the vFIFO, run each message to
-// completion, bump the completion count the ownership fences watch.
+// completion, bump the completion count the demotion fence watches.
 func (e *Engine) coreLoop(c *nicCore) {
 	defer e.wg.Done()
 	for {

@@ -54,9 +54,8 @@ func (r *recorder) snapshot() []ddp.Version {
 	return append([]ddp.Version(nil), r.vers...)
 }
 
-// TestRoutePromotesHotKey: with inline host dispatch (no fence
-// callbacks) a key crossing the threshold flips to the NIC path
-// immediately and its messages run on a core, in order.
+// TestRoutePromotesHotKey: a key crossing the threshold flips to the
+// NIC path immediately and its messages run on a core, in order.
 func TestRoutePromotesHotKey(t *testing.T) {
 	rec := &recorder{}
 	e := New(Config{
@@ -185,68 +184,6 @@ func TestVFIFOOverflowDemotesWithoutReorder(t *testing.T) {
 		t.Fatalf("promotions = %d, want 2", e.Promotions())
 	}
 	waitFor(t, "version 7 handled", func() bool { return rec.len() == 4 })
-}
-
-// TestPromotionFencesOnHostLane: with host-lane fence callbacks (queued
-// dispatch mode), a promoted key keeps routing host until the lane
-// drains past the fence — queued host messages cannot be overtaken.
-func TestPromotionFencesOnHostLane(t *testing.T) {
-	var laneEnq, laneDone uint64
-	var mu sync.Mutex
-	rec := &recorder{}
-	e := New(Config{
-		Cores: 1, InitialThreshold: 1, MinThreshold: 1, Epoch: -1,
-		Handler: rec.handle,
-		HostFence: func(ddp.Key) uint64 {
-			mu.Lock()
-			defer mu.Unlock()
-			return laneEnq
-		},
-		HostDrained: func(_ ddp.Key, fence uint64) bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return laneDone >= fence
-		},
-	})
-	e.Start()
-	defer e.Close()
-
-	dispatchHost := func() {
-		mu.Lock()
-		laneEnq++
-		mu.Unlock()
-	}
-	drainHost := func() {
-		mu.Lock()
-		laneDone = laneEnq
-		mu.Unlock()
-	}
-
-	key := ddp.Key(9)
-	// Version 1 qualifies, but the fence (lane admissions + this
-	// message) holds it on the host path.
-	if e.Route(msg(key, 1)) {
-		t.Fatal("version 1 must run host: the promotion is fenced")
-	}
-	dispatchHost()
-	if e.Promotions() != 1 {
-		t.Fatalf("promotions = %d, want 1 (granted, fenced)", e.Promotions())
-	}
-	// The lane has not drained: version 2 also routes host, pushing the
-	// fence over itself.
-	if e.Route(msg(key, 2)) {
-		t.Fatal("version 2 must run host: the lane still holds version 1")
-	}
-	dispatchHost()
-	// Lane drains; ownership transfers on the next arrival.
-	drainHost()
-	if !e.Route(msg(key, 3)) {
-		t.Fatal("version 3 should ride the NIC: the lane drained past the fence")
-	}
-	waitFor(t, "version 3 on the NIC core", func() bool { return rec.len() == 1 })
-	if got := rec.snapshot(); got[0] != 3 {
-		t.Fatalf("NIC handled version %d, want 3", got[0])
-	}
 }
 
 // TestStageDurableBatchesInOrder: staged persists reach the Durable

@@ -54,16 +54,6 @@ func (c *Chaos) Self() ddp.NodeID    { return c.inner.Self() }
 func (c *Chaos) Peers() []ddp.NodeID { return c.inner.Peers() }
 func (c *Chaos) Recv() <-chan Frame  { return c.inner.Recv() }
 
-// Stats delegates to the inner transport's counters when it has any.
-//
-// Deprecated: use Collect (obs.Source) and read the obs.Snapshot.
-func (c *Chaos) Stats() TransportStats {
-	if s, ok := c.inner.(interface{ Stats() TransportStats }); ok {
-		return s.Stats()
-	}
-	return TransportStats{}
-}
-
 // Describe implements obs.Source.
 func (c *Chaos) Describe() string {
 	if s, ok := c.inner.(StatsSource); ok {

@@ -6,41 +6,11 @@ import (
 
 // StatsSource is the unified observability interface a transport (or
 // any other layer) exposes its counters through. It is an alias of
-// obs.Source: callers collect an obs.Snapshot instead of plumbing the
-// legacy TransportStats struct.
+// obs.Source: callers collect an obs.Snapshot.
 //
 // Deprecated: use obs.Source directly; the alias remains so historical
 // call sites (minos-server's stats wiring) read naturally.
 type StatsSource = obs.Source
-
-// TransportStats is the legacy point-in-time snapshot of a transport's
-// counters, kept so the deprecated Stats accessors still compile.
-//
-// Deprecated: collect an obs.Snapshot through the StatsSource
-// (obs.Source) interface instead; the counter names are listed on
-// newCounters.
-type TransportStats struct {
-	FramesSent  int64
-	FramesRecv  int64
-	BatchesSent int64
-	BytesSent   int64
-	BytesRecv   int64
-	Encodes     int64
-	Broadcasts  int64
-	Redials     int64
-	SendErrors  int64
-}
-
-// FramesPerBatch returns the mean coalescing factor of the batched path.
-//
-// Deprecated: use Snapshot.Ratio("transport.frames_sent",
-// "transport.batches_sent").
-func (s TransportStats) FramesPerBatch() float64 {
-	if s.BatchesSent == 0 {
-		return 0
-	}
-	return float64(s.FramesSent) / float64(s.BatchesSent)
-}
 
 // counters is the registry-backed instrument set shared by every
 // transport implementation. All instruments live in one obs.Registry
@@ -93,18 +63,3 @@ func (c *counters) noteBatch(frames, bytes int) {
 // collect appends the instrument values to s (Source plumbing for the
 // owning transport).
 func (c *counters) collect(s *obs.Snapshot) { c.reg.Collect(s) }
-
-// snapshot builds the legacy struct view from the instruments.
-func (c *counters) snapshot() TransportStats {
-	return TransportStats{
-		FramesSent:  c.framesSent.Load(),
-		FramesRecv:  c.framesRecv.Load(),
-		BatchesSent: c.batchesSent.Load(),
-		BytesSent:   c.bytesSent.Load(),
-		BytesRecv:   c.bytesRecv.Load(),
-		Encodes:     c.encodes.Load(),
-		Broadcasts:  c.broadcasts.Load(),
-		Redials:     c.redials.Load(),
-		SendErrors:  c.sendErrors.Load(),
-	}
-}

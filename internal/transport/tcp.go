@@ -229,11 +229,6 @@ func (t *TCPTransport) Peers() []ddp.NodeID {
 // Recv returns the inbound frame channel.
 func (t *TCPTransport) Recv() <-chan Frame { return t.rx }
 
-// Stats returns a snapshot of the transport's counters.
-//
-// Deprecated: use Collect (obs.Source) and read the obs.Snapshot.
-func (t *TCPTransport) Stats() TransportStats { return t.stats.snapshot() }
-
 // Describe implements obs.Source.
 func (t *TCPTransport) Describe() string { return "transport" }
 

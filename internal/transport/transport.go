@@ -191,11 +191,6 @@ func (t *MemTransport) Broadcast(f Frame) error {
 	return firstErr
 }
 
-// Stats returns a snapshot of the endpoint's counters.
-//
-// Deprecated: use Collect (obs.Source) and read the obs.Snapshot.
-func (t *MemTransport) Stats() TransportStats { return t.stats.snapshot() }
-
 // Describe implements obs.Source.
 func (t *MemTransport) Describe() string { return "transport" }
 
