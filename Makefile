@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-bench race lint vet check bench bench-smoke bench-live bench-node bench-obs bench-offload bench-scale clean
+.PHONY: all build test test-bench flake race lint vet check bench bench-smoke bench-live bench-node bench-obs bench-offload bench-scale clean
 
 all: build
 
@@ -20,6 +20,12 @@ test:
 # that breaks it.
 test-bench:
 	$(GO) test -C benchmark ./...
+
+# Repeats the transport tests (≈ 50 s): the loopback-TCP and ring
+# backpressure tests race real goroutines and sockets, so one green run
+# does not show they are deterministic.
+flake:
+	$(GO) test -count=20 ./internal/transport
 
 # The repo's benchmark (BENCHMARK.json): four workloads over a live
 # 5-node cluster, ~20 s each; builds into the git-ignored .bench_build/.
@@ -41,7 +47,8 @@ lint: vet
 vet:
 	$(GO) vet ./...
 
-check: lint test
+# The local gate, equal to what CI requires.
+check: lint test test-bench
 
 # Quick-scale sweep with the parallel runner; records per-figure wall
 # clock in BENCH_sweep.json (CI uploads it as the perf trajectory).

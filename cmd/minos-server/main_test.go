@@ -11,7 +11,7 @@ import (
 	"github.com/minos-ddp/minos/internal/transport"
 )
 
-func testNode(t *testing.T) (*node.Node, transport.StatsSource) {
+func testNode(t *testing.T) (*node.Node, obs.Source) {
 	t.Helper()
 	net := transport.NewMemNetwork(2)
 	nodes := make([]*node.Node, 2)

@@ -86,7 +86,7 @@ func (lc *LiveCluster) Collect() *obs.Snapshot {
 		nd.Collect(snap)
 	}
 	for _, ep := range lc.Eps {
-		if src, ok := ep.(transport.StatsSource); ok {
+		if src, ok := ep.(obs.Source); ok {
 			src.Collect(snap)
 		}
 	}

@@ -56,7 +56,7 @@ func (c *Chaos) Recv() <-chan Frame  { return c.inner.Recv() }
 
 // Describe implements obs.Source.
 func (c *Chaos) Describe() string {
-	if s, ok := c.inner.(StatsSource); ok {
+	if s, ok := c.inner.(obs.Source); ok {
 		return s.Describe()
 	}
 	return "transport"
@@ -65,7 +65,7 @@ func (c *Chaos) Describe() string {
 // Collect delegates to the inner transport's instruments when it has
 // any; chaos itself adds nothing.
 func (c *Chaos) Collect(s *obs.Snapshot) {
-	if src, ok := c.inner.(StatsSource); ok {
+	if src, ok := c.inner.(obs.Source); ok {
 		src.Collect(s)
 	}
 }

@@ -2,10 +2,9 @@ package transport
 
 import "sync"
 
-// Buffer pooling for the steady-state send and receive paths. Encode
-// buffers hold runs of frames awaiting one batched Write; read buffers
-// hold one frame body between ReadFull and DecodeFrame (DecodeFrame
-// copies values out, so bodies recycle immediately).
+// Buffer pooling for the steady-state send path: encode buffers hold
+// runs of frames awaiting one batched Write. (The receive path needs no
+// pool: each connection decodes in place out of its own buffer.)
 
 // encBufPool holds batch encode buffers. Stored as *[]byte so Get/Put
 // stay allocation-free.
@@ -29,43 +28,3 @@ func putEncBuf(b []byte) {
 }
 
 const maxPooledEncBuf = 1 << 20
-
-// readPools classes frame-body buffers by size so a stream of small
-// control frames does not churn large allocations (and one huge recovery
-// frame does not pin a huge buffer forever).
-var readClassSizes = [...]int{512, 4096, 64 << 10, 1 << 20}
-
-var readPools = func() [len(readClassSizes)]*sync.Pool {
-	var ps [len(readClassSizes)]*sync.Pool
-	for i, size := range readClassSizes {
-		size := size
-		ps[i] = &sync.Pool{New: func() interface{} {
-			b := make([]byte, size)
-			return &b
-		}}
-	}
-	return ps
-}()
-
-// getReadBuf returns a buffer of length n from the smallest fitting size
-// class; bodies beyond the largest class are allocated directly.
-func getReadBuf(n int) []byte {
-	for i, size := range readClassSizes {
-		if n <= size {
-			return (*(readPools[i].Get().(*[]byte)))[:n]
-		}
-	}
-	return make([]byte, n)
-}
-
-// putReadBuf recycles a buffer obtained from getReadBuf.
-func putReadBuf(b []byte) {
-	c := cap(b)
-	for i, size := range readClassSizes {
-		if c == size {
-			b = b[:size]
-			readPools[i].Put(&b)
-			return
-		}
-	}
-}

@@ -320,7 +320,7 @@ type RingTransport struct {
 
 var (
 	_ Transport    = (*RingTransport)(nil)
-	_ StatsSource  = (*RingTransport)(nil)
+	_ obs.Source   = (*RingTransport)(nil)
 	_ InlinePoller = (*RingTransport)(nil)
 	_ SyncEncoder  = (*RingTransport)(nil)
 )

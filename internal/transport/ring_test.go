@@ -186,23 +186,41 @@ func TestRingBackpressure(t *testing.T) {
 		t.Fatalf("no backpressure after %d undrained sends into a 1KB ring", sent)
 	}
 
-	// Drain a chunk and verify the path recovers.
-	for i := 0; i < 64; i++ {
+	// Recovery is driven by receives, not by the clock. Backpressure can
+	// fire after a handful of accepted sends (the ring holds ~3 frames,
+	// the poller may not have run yet), so drain what was sent, up to a
+	// chunk. After that each refused retry waits for one more frame to
+	// come out; with all of them out the ring is empty and the send must
+	// be accepted. The timeouts only turn a hang into a failure.
+	recv := func() {
+		t.Helper()
 		select {
 		case <-t0.Recv():
-		case <-time.After(5 * time.Second):
-			t.Fatal("receiver starved while draining")
+		case <-time.After(30 * time.Second):
+			t.Fatal("an accepted frame never arrived")
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
+	drained := 0
+	for ; drained < sent && drained < 64; drained++ {
+		recv()
+	}
+	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if err := t1.Send(0, f); err == nil {
+		err := t1.Send(0, f)
+		if err == nil {
 			return
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("sends never recovered after draining")
+		if err != ErrBackpressure {
+			t.Fatalf("send after draining %d of %d: %v", drained, sent, err)
 		}
-		time.Sleep(time.Millisecond)
+		if drained < sent {
+			recv()
+			drained++
+		} else if time.Now().After(deadline) {
+			// The poller frees a frame's ring bytes just after handing it
+			// over, so the last receive can precede the space by a moment.
+			t.Fatalf("sends never recovered with all %d frames drained", sent)
+		}
 	}
 }
 

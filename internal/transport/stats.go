@@ -4,14 +4,6 @@ import (
 	"github.com/minos-ddp/minos/internal/obs"
 )
 
-// StatsSource is the unified observability interface a transport (or
-// any other layer) exposes its counters through. It is an alias of
-// obs.Source: callers collect an obs.Snapshot.
-//
-// Deprecated: use obs.Source directly; the alias remains so historical
-// call sites (minos-server's stats wiring) read naturally.
-type StatsSource = obs.Source
-
 // counters is the registry-backed instrument set shared by every
 // transport implementation. All instruments live in one obs.Registry
 // under the "transport" prefix, so a cluster's endpoints aggregate by
@@ -23,6 +15,7 @@ type counters struct {
 	batchesSent *obs.Counter
 	bytesSent   *obs.Counter
 	bytesRecv   *obs.Counter
+	recvReads   *obs.Counter
 	encodes     *obs.Counter
 	broadcasts  *obs.Counter
 	redials     *obs.Counter
@@ -34,8 +27,11 @@ type counters struct {
 
 // newCounters builds the instrument set. Instrument names (all under
 // the "transport." prefix): frames_sent, frames_recv, batches_sent,
-// bytes_sent, bytes_recv, encodes, broadcasts, redials, send_errors,
-// and the frames_per_batch histogram.
+// bytes_sent, bytes_recv, recv_reads, encodes, broadcasts, redials,
+// send_errors, and the frames_per_batch histogram. recv_reads counts
+// socket reads that returned data (TCP only, 0 on the in-process
+// fabrics): frames_recv / recv_reads is the receive twin of
+// frames_per_batch.
 func newCounters() counters {
 	reg := obs.NewRegistry("transport")
 	return counters{
@@ -45,6 +41,7 @@ func newCounters() counters {
 		batchesSent: reg.Counter("batches_sent"),
 		bytesSent:   reg.Counter("bytes_sent"),
 		bytesRecv:   reg.Counter("bytes_recv"),
+		recvReads:   reg.Counter("recv_reads"),
 		encodes:     reg.Counter("encodes"),
 		broadcasts:  reg.Counter("broadcasts"),
 		redials:     reg.Counter("redials"),

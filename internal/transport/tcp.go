@@ -8,6 +8,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/minos-ddp/minos/internal/ddp"
@@ -44,12 +45,20 @@ const (
 // optimization, §VI); when idle the writer wakes per frame, adding no
 // latency. Per-peer FIFO order is exactly preserved: one queue, one
 // writer, one connection.
+//
+// Receives mirror that: one reader goroutine per accepted connection
+// takes whatever the kernel holds with a single Read and decodes every
+// complete frame of it in place (frameSplitter), so a coalesced batch
+// costs the receiver one syscall too.
 type TCPTransport struct {
 	self ddp.NodeID
 
 	ln   net.Listener
 	rx   chan Frame
 	done chan struct{}
+
+	// snap is the lock-free view Send, Broadcast and Peers read.
+	snap atomic.Pointer[peerSnapshot]
 
 	mu    sync.Mutex
 	addrs map[ddp.NodeID]string // peer ID -> host:port, including self
@@ -67,7 +76,15 @@ type TCPTransport struct {
 }
 
 var _ Transport = (*TCPTransport)(nil)
-var _ StatsSource = (*TCPTransport)(nil)
+var _ obs.Source = (*TCPTransport)(nil)
+
+// peerSnapshot is an immutable view of the peer set, republished under
+// t.mu whenever a cluster member is added or a send link is created, so
+// the per-frame paths take no lock and allocate nothing to find a link.
+type peerSnapshot struct {
+	ids   []ddp.NodeID            // the other cluster members, ascending
+	links map[ddp.NodeID]*tcpPeer // send links created so far, client links included
+}
 
 // sendBatch is one coalesced run of encoded frames awaiting one Write.
 type sendBatch struct {
@@ -119,6 +136,7 @@ func NewTCPTransport(self ddp.NodeID, addrs map[ddp.NodeID]string) (*TCPTranspor
 		inbound:  make(map[net.Conn]struct{}),
 		stats:    newCounters(),
 	}
+	t.publishLocked() // not shared yet: no lock needed
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -135,12 +153,40 @@ func (t *TCPTransport) Addr() string { return t.ln.Addr().String() }
 // traffic.
 func (t *TCPTransport) SetPeerAddr(id ddp.NodeID, addr string) {
 	t.mu.Lock()
+	_, known := t.addrs[id]
 	t.addrs[id] = addr
+	if !known {
+		t.publishLocked()
+	}
 	p := t.peers[id]
 	t.mu.Unlock()
-	if p == nil {
-		return
+	if p != nil {
+		p.resetConn()
 	}
+}
+
+// publishLocked rebuilds the snapshot from addrs and peers (caller
+// holds t.mu).
+func (t *TCPTransport) publishLocked() {
+	s := &peerSnapshot{
+		ids:   make([]ddp.NodeID, 0, len(t.addrs)),
+		links: make(map[ddp.NodeID]*tcpPeer, len(t.peers)),
+	}
+	for id := range t.addrs {
+		if id != t.self {
+			s.ids = append(s.ids, id)
+		}
+	}
+	sort.Slice(s.ids, func(i, j int) bool { return s.ids[i] < s.ids[j] })
+	for id, p := range t.peers { // map copy: order irrelevant
+		s.links[id] = p
+	}
+	t.snap.Store(s)
+}
+
+// resetConn drops the link's connection and failure state so the next
+// flush dials afresh, immediately.
+func (p *tcpPeer) resetConn() {
 	p.mu.Lock()
 	conn := p.conn
 	p.conn = nil
@@ -175,18 +221,8 @@ func (t *TCPTransport) learnPeer(id ddp.NodeID, addr string) {
 	t.extAddrs[id] = addr
 	p := t.peers[id]
 	t.mu.Unlock()
-	if p == nil || (had && prev == addr) {
-		return
-	}
-	p.mu.Lock()
-	conn := p.conn
-	p.conn = nil
-	p.lastErr = nil
-	p.backoff = 0
-	p.retryAt = time.Time{}
-	p.mu.Unlock()
-	if conn != nil {
-		conn.Close()
+	if p != nil && !(had && prev == addr) {
+		p.resetConn()
 	}
 }
 
@@ -210,21 +246,10 @@ func (t *TCPTransport) Self() ddp.NodeID { return t.self }
 // may reuse the value's backing array immediately (SyncEncoder).
 func (t *TCPTransport) SyncEncode() {}
 
-// Peers returns the other cluster members in ascending NodeID order.
-// The sort makes iteration order deterministic for every caller that
-// fans out over the cluster (the map's range order is not).
-func (t *TCPTransport) Peers() []ddp.NodeID {
-	t.mu.Lock()
-	out := make([]ddp.NodeID, 0, len(t.addrs)-1)
-	for id := range t.addrs {
-		if id != t.self {
-			out = append(out, id)
-		}
-	}
-	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// Peers returns the other cluster members in ascending NodeID order, so
+// every caller that fans out over the cluster iterates deterministically
+// (the address map's range order is not). The slice is immutable.
+func (t *TCPTransport) Peers() []ddp.NodeID { return t.snap.Load().ids }
 
 // Recv returns the inbound frame channel.
 func (t *TCPTransport) Recv() <-chan Frame { return t.rx }
@@ -236,8 +261,13 @@ func (t *TCPTransport) Describe() string { return "transport" }
 // to s.
 func (t *TCPTransport) Collect(s *obs.Snapshot) { t.stats.collect(s) }
 
-// peer returns (lazily creating) the send queue for id.
+// peer returns (lazily creating) the send queue for id. A link that
+// exists is found in the snapshot; after Close its queue refuses frames
+// with ErrClosed.
 func (t *TCPTransport) peer(id ddp.NodeID) (*tcpPeer, error) {
+	if p := t.snap.Load().links[id]; p != nil {
+		return p, nil
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -258,6 +288,7 @@ func (t *TCPTransport) peer(id ddp.NodeID) (*tcpPeer, error) {
 	}
 	p.cond = sync.NewCond(&p.mu)
 	t.peers[id] = p
+	t.publishLocked()
 	t.wg.Add(1)
 	go p.writeLoop()
 	return p, nil
@@ -413,11 +444,14 @@ func (p *tcpPeer) flush(batches []sendBatch) error {
 			p.countDrops(batches[i:])
 			return err
 		}
+		// Counted before the Write: the receiver can hold these frames
+		// before Write returns, and must never be ahead of frames_sent.
+		// (A failed Write's frames are then in send_errors as well.)
+		p.t.stats.noteBatch(b.frames, len(b.buf))
 		if _, err := conn.Write(b.buf); err != nil {
 			p.countDrops(batches[i:])
 			return err
 		}
-		p.t.stats.noteBatch(b.frames, len(b.buf))
 		putEncBuf(b.buf)
 		b.buf = nil
 	}
@@ -552,10 +586,9 @@ func (t *TCPTransport) acceptLoop() {
 	}
 }
 
-// readLoop decodes frames off one connection into rx. Frame bodies come
-// from size-classed pools and recycle as soon as DecodeFrame has copied
-// the values out, so steady-state receive does not allocate per frame
-// beyond the decoded values themselves.
+// readLoop delivers one connection's frames to rx. One goroutine splits
+// the stream front to back, so per-link FIFO holds and a FrameHello is
+// learned before the request behind it is delivered.
 func (t *TCPTransport) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
@@ -571,39 +604,105 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
-	var lenBuf [4]byte
-	for {
-		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
-			return
-		}
-		n := binary.LittleEndian.Uint32(lenBuf[:])
-		if n == 0 || n > maxFrameSize {
-			return // corrupt stream
-		}
-		body := getReadBuf(int(n))
-		if _, err := io.ReadFull(conn, body); err != nil {
-			putReadBuf(body)
-			return
-		}
-		f, err := DecodeFrame(body)
-		putReadBuf(body)
-		if err != nil {
-			return
-		}
-		t.stats.framesRecv.Add(1)
-		t.stats.bytesRecv.Add(int64(n) + 4)
+	// Whatever ends the stream ends the link; the peer redials.
+	_ = newFrameSplitter().run(conn, &t.stats, func(f Frame) bool {
 		if f.Kind == FrameHello {
 			// Transport-level control frame: record the announced return
 			// address and do not deliver it to the node.
 			t.learnPeer(f.From, f.Addr)
-			continue
+			return true
 		}
 		select {
 		case t.rx <- f:
+			return true
 		case <-t.done:
-			return
+			return false
+		}
+	})
+}
+
+// readBufSize is a connection's receive window: one Read takes up to
+// this much of whatever the kernel holds, so a batch the sender
+// coalesced into one Write costs one read syscall here, not two per
+// frame. Frames above it (recovery entries) get a buffer of their own.
+const readBufSize = 64 << 10
+
+// frameSplitter cuts a byte stream into frames. It owns the reusable
+// receive buffer; DecodeFrame copies every value out, so a decoded
+// frame never references it.
+type frameSplitter struct {
+	base []byte // the readBufSize window
+	buf  []byte // base, or one oversized frame's exact-size buffer
+	end  int    // buf[:end] is received and not yet decoded
+}
+
+func newFrameSplitter() *frameSplitter {
+	base := make([]byte, readBufSize)
+	return &frameSplitter{base: base, buf: base}
+}
+
+// run reads r until it fails, decoding every complete frame in place
+// and passing it to deliver in stream order; deliver returning false
+// stops it. The returned error is never nil: r's error (io.EOF on a
+// clean close), a corrupt length prefix or body, or ErrClosed.
+func (s *frameSplitter) run(r io.Reader, st *counters, deliver func(Frame) bool) error {
+	for {
+		n, err := r.Read(s.buf[s.end:])
+		if n > 0 {
+			st.recvReads.Add(1)
+			s.end += n
+			used, frames, derr := s.decode(deliver)
+			st.framesRecv.Add(int64(frames))
+			st.bytesRecv.Add(int64(used))
+			if derr != nil {
+				return derr
+			}
+		}
+		if err != nil {
+			return err
 		}
 	}
+}
+
+// decode delivers the complete frames in buf[:end] and leaves the
+// partial tail at the front of a buffer with room for the rest of its
+// frame. It reports the bytes and frames consumed.
+func (s *frameSplitter) decode(deliver func(Frame) bool) (used, frames int, err error) {
+	need := 4 // bytes the frame at buf[used:] takes; 4 until its prefix is in
+	for s.end-used >= 4 {
+		size := binary.LittleEndian.Uint32(s.buf[used:])
+		if size == 0 || size > maxFrameSize {
+			return used, frames, fmt.Errorf("transport: corrupt length prefix %d", size)
+		}
+		need = 4 + int(size)
+		if s.end-used < need {
+			break
+		}
+		f, derr := DecodeFrame(s.buf[used+4 : used+need])
+		if derr != nil {
+			return used, frames, derr
+		}
+		used += need
+		frames++
+		need = 4
+		if !deliver(f) {
+			return used, frames, ErrClosed
+		}
+	}
+	tail := s.buf[used:s.end]
+	switch {
+	case need > len(s.buf):
+		// Oversized frame: a buffer of exactly its size, so the reads that
+		// fill it take nothing of the next frame and no tail is left to
+		// carry when the next pass drops back to base.
+		s.buf = make([]byte, need)
+	case used > 0:
+		s.buf = s.base
+	default:
+		return used, frames, nil // nothing consumed: the tail is in place
+	}
+	s.end = copy(s.buf, tail)
+	return used, frames, nil
 }
 
 // Close stops the listener, the per-peer writers, all connections and

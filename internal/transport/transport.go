@@ -26,7 +26,7 @@ type Transport interface {
 	// Self returns this endpoint's node ID.
 	Self() ddp.NodeID
 	// Peers returns the other node IDs in the cluster, in ascending
-	// NodeID order.
+	// NodeID order. The slice is shared and immutable: do not modify it.
 	Peers() []ddp.NodeID
 	// Close shuts the transport down.
 	Close() error
@@ -129,7 +129,7 @@ type MemTransport struct {
 }
 
 var _ Transport = (*MemTransport)(nil)
-var _ StatsSource = (*MemTransport)(nil)
+var _ obs.Source = (*MemTransport)(nil)
 
 // Self returns this endpoint's node ID.
 func (t *MemTransport) Self() ddp.NodeID { return t.self }
