@@ -21,11 +21,11 @@ test:
 test-bench:
 	$(GO) test -C benchmark ./...
 
-# Repeats the transport tests (≈ 50 s): the loopback-TCP and ring
-# backpressure tests race real goroutines and sockets, so one green run
-# does not show they are deterministic.
+# Repeats the packages whose tests race real goroutines and sockets
+# (loopback TCP, ring backpressure, the node and the soft-NIC engine),
+# since one green run does not show they are deterministic.
 flake:
-	$(GO) test -count=20 ./internal/transport
+	$(GO) test -count=20 ./internal/transport ./internal/node ./internal/offload
 
 # The repo's benchmark (BENCHMARK.json): four workloads over a live
 # 5-node cluster, ~20 s each; builds into the git-ignored .bench_build/.

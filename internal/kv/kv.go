@@ -322,10 +322,16 @@ func (s *Store) Get(key ddp.Key) *Record {
 	return sh.slowGet(key)
 }
 
-// slowGet serves lookups of records inserted since the last merge.
+// slowGet serves lookups of records inserted since the last merge. It
+// re-reads the published map under the mutex: a merge (GetOrCreate, or
+// Range's view) between the caller's lock-free miss and this lock moves
+// the key out of the overflow and into the map.
 func (sh *shard) slowGet(key ddp.Key) *Record {
 	sh.mu.Lock()
 	r := sh.over[key]
+	if r == nil {
+		r = (*sh.m.Load())[key]
+	}
 	sh.mu.Unlock()
 	return r
 }

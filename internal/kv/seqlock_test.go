@@ -231,3 +231,26 @@ func TestStoreGetWaitFreeUnderInserts(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 }
+
+// TestStoreGetAcrossMerge: a key that exists must never read as absent.
+// A merge (here Range's view) can move it from the overflow into the
+// published map between Get's lock-free miss and its locked overflow
+// lookup; the failure detector's Range raced a survivor's read this way.
+func TestStoreGetAcrossMerge(t *testing.T) {
+	const key = ddp.Key(7)
+	for i := 0; i < 20_000; i++ {
+		s := NewStore(1)
+		s.GetOrCreate(key) // lands in the overflow, not yet merged
+		done := make(chan struct{})
+		go func() {
+			s.Range(func(*Record) bool { return true })
+			close(done)
+		}()
+		for j := 0; j < 4; j++ {
+			if s.Get(key) == nil {
+				t.Fatalf("iteration %d: Get missed an existing key across a merge", i)
+			}
+		}
+		<-done
+	}
+}

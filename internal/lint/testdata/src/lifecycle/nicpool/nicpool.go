@@ -40,7 +40,7 @@ func (e *engine) coreLoop(c *core) {
 	}
 }
 
-// drainLoop shows the same edge on a shared queue (the dFIFO drain).
+// startDrain shows the same edge on a shared queue.
 func (e *engine) startDrain(d chan int) {
 	e.wg.Add(1)
 	go func() {

@@ -1,46 +1,29 @@
-// NIC-path shapes from the soft-NIC offload engine's ack plumbing
-// (internal/node offload splice). Same package as node.go: the "node"
-// path element keeps the persist-before-ack obligation active here.
+// NIC-path shapes from the soft-NIC offload engine's splice into the
+// node (internal/node offload.go): a NIC core runs the host's handlers,
+// persist step included. Same package as node.go: the "node" path
+// element keeps the persist-before-ack obligation active here.
 package node
 
 import "persistorder/nvm"
 
-// persistThenAck is the follower's one persist-then-ack step: the
-// pipeline append makes the function a continuation-deferrer, so call
-// sites naming the ack kind hand it payload — the literal is not a bare
-// ack construction. On a NIC core (nic) the update stages into the
-// dFIFO instead, whose drain below acknowledges after its group commit.
-func (n *Node) persistThenAck(m Message, k MsgKind, nic bool) {
-	if nic && n.stage(m, k) {
-		return
-	}
+// persistThenAck is the follower's one persist-then-ack step on either
+// side of the offload boundary: the pipeline append makes the function
+// a continuation-deferrer, so call sites naming the ack kind hand it
+// payload — the literal is not a bare ack construction.
+func (n *Node) persistThenAck(m Message, k MsgKind) {
 	n.pipe.Enqueue(nvm.Entry{}, nil)
 	n.send(m.From, Message{Kind: k, From: 0})
 }
 
-func (n *Node) stage(m Message, k MsgKind) bool { return false }
-
-// The INV handler names the combined ack kind as payload on either
-// side of the offload boundary.
-func (n *Node) invAckOK(m Message, nic bool) {
-	n.persistThenAck(m, KindAck, nic)
+// The INV handler names the combined ack kind as payload, wherever the
+// handler runs.
+func (n *Node) invAckOK(m Message) {
+	n.persistThenAck(m, KindAck)
 }
 
-// The dFIFO drain: one blocking group commit covers the whole staged
-// batch — bailing on its false (closing) return — and only then does
-// the batch's acknowledgment fan-out run.
-func (n *Node) nicDrainBatchOK(ms []Message) {
-	if !n.pipe.PersistMany(n.buffered) {
-		return
-	}
-	for _, m := range ms {
-		n.sendAck(m, KindAckP)
-	}
-}
-
-// Skipping the group commit leaves the fan-out un-evidenced: the
-// obligation survives the batching.
-func (n *Node) nicDrainSkipsPersist(ms []Message) {
+// An ack fan-out with no persist evidence keeps the obligation: a NIC
+// core's handlers get no exemption.
+func (n *Node) nicFanoutSkipsPersist(ms []Message) {
 	for _, m := range ms {
 		n.sendAck(m, KindAckP) // want `persist-before-ack`
 	}

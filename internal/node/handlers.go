@@ -7,18 +7,17 @@ import (
 
 // handleMessage dispatches one protocol message. It runs wherever the
 // message's key is currently owned — the delivery goroutine
-// (handleFrame) or, with nic set, a soft-NIC core — and either way
-// messages for one record arrive here in transport order; handlers
-// must not block on conditions that only a later same-key message can
-// satisfy (the obsolete spins are punted to their own goroutines for
-// exactly that reason). The two placements run the same handlers; nic
-// only selects where a follower's persist is staged (persistThenAck).
+// (handleFrame) or a soft-NIC core — and either way messages for one
+// record arrive here in transport order; handlers must not block on
+// conditions that only a later same-key message can satisfy (the
+// obsolete spins are punted to their own goroutines for exactly that
+// reason). Both placements run the same handlers, persists included.
 //
 //minos:hotpath
-func (n *Node) handleMessage(m ddp.Message, nic bool) {
+func (n *Node) handleMessage(m ddp.Message) {
 	switch m.Kind {
 	case ddp.KindInv:
-		n.handleInv(m, nic)
+		n.handleInv(m)
 	case ddp.KindAck, ddp.KindAckC, ddp.KindAckP:
 		if m.Kind == ddp.KindAckP && m.Scope != 0 && m.TS == (ddp.Timestamp{}) {
 			n.handleScopeAck(m)
@@ -39,16 +38,16 @@ func (n *Node) handleMessage(m ddp.Message, nic bool) {
 }
 
 // handleInv is the Follower algorithm (Fig 2 L26-40, Fig 3 deltas).
-func (n *Node) handleInv(m ddp.Message, nic bool) {
+func (n *Node) handleInv(m ddp.Message) {
 	if !n.applyInv(m) {
 		return
 	}
 	switch n.policy.FollowerPersist {
 	case ddp.PersistBeforeAck: // Synch: persist (L39), combined ACK (L40)
-		n.persistThenAck(m, ddp.KindAck, nic)
+		n.persistThenAck(m, ddp.KindAck)
 	case ddp.PersistAfterAckC: // Strict, REnf
 		n.sendAck(m, ddp.KindAckC)
-		n.persistThenAck(m, ddp.KindAckP, nic)
+		n.persistThenAck(m, ddp.KindAckP)
 	case ddp.PersistBackground: // Event
 		n.sendAck(m, ddp.KindAckC)
 		n.pipe.Enqueue(m.Key, m.TS, m.Value, m.Scope, nil)

@@ -61,8 +61,8 @@ type Config struct {
 	// Offload, when non-nil, enables the soft-NIC offload engine
 	// (MINOS-O): protocol messages for keys the adaptive policy deems
 	// hot are handled on the engine's core pool instead of the delivery
-	// goroutine. The config's callback fields (Handler, Durable, Now) are
-	// owned by the node and overwritten; set only the tuning knobs.
+	// goroutine. The config's callback fields (Handler, Now) are owned
+	// by the node and overwritten; set only the tuning knobs.
 	// &offload.Config{} selects all defaults.
 	Offload *offload.Config
 }
@@ -307,7 +307,6 @@ func New(cfg Config, tr transport.Transport) *Node {
 	if cfg.Offload != nil {
 		oc := *cfg.Offload
 		oc.Handler = n.handleOffloaded
-		oc.Durable = n.drainDurable
 		oc.Now = nil
 		if n.tracer.Enabled() {
 			oc.Now = n.tracer.Now
@@ -473,7 +472,7 @@ func (n *Node) handleFrame(f transport.Frame) {
 		if n.off != nil && offloadable(f.Msg) && n.off.Route(f.Msg) {
 			return
 		}
-		n.handleMessage(f.Msg, false)
+		n.handleMessage(f.Msg)
 	case transport.FrameHeartbeat:
 		// noteAlive above is the whole job.
 	case transport.FrameClientRequest:
@@ -609,21 +608,21 @@ func (n *Node) removePending(key ddp.Key, ts ddp.Timestamp) {
 
 // persistThenAck makes the INV's update durable and then sends kind to
 // its coordinator — the follower's persist-before-ack step (Fig 2
-// L39-40) — without parking the caller for the NVM latency. Every
-// branch orders the acknowledgment strictly after the log append:
+// L39-40) — without parking the caller for the NVM latency. It runs
+// the same on the delivery goroutine and on a soft-NIC core: both enqueue
+// into the one pipeline, whose per-key queues keep a record's persists
+// (and so its acks) in handling order. Every branch orders the
+// acknowledgment strictly after the log append:
 //
 //   - a sampled transaction pays for a continuation closure, which is
 //     what lets it wrap the acknowledgment in trace spans;
 //   - a zero-latency pipeline appends synchronously inside Enqueue, so
 //     the acknowledgment follows directly;
-//   - a NIC core (nic) stages into the offload engine's dFIFO, whose
-//     drain (drainDurable) group-commits the batch before its ack
-//     fan-out; a full dFIFO falls through to
-//   - the pipeline's ack fields (EnqueueAck → sendDurableAck on the
-//     drain engine), allocating nothing.
+//   - otherwise the pipeline's ack fields carry it (EnqueueAck →
+//     sendDurableAck on the drain engine), allocating nothing.
 //
 //minos:hotpath
-func (n *Node) persistThenAck(m ddp.Message, kind ddp.MsgKind, nic bool) {
+func (n *Node) persistThenAck(m ddp.Message, kind ddp.MsgKind) {
 	to, key, ts, sc := m.From, m.Key, m.TS, m.Scope
 	// Followers have no coordinator transaction sequence; the sampling
 	// decision hashes the issued version instead, so a sampled run pays
@@ -655,7 +654,6 @@ func (n *Node) persistThenAck(m ddp.Message, kind ddp.MsgKind, nic bool) {
 		if n.pipe.Enqueue(key, ts, m.Value, sc, nil) {
 			n.sendDurableAck(to, kind, key, ts, sc)
 		}
-	case nic && n.off.StageDurable(key, ts, m.Value, sc, to, kind):
 	default:
 		n.pipe.EnqueueAck(key, ts, m.Value, sc, to, kind)
 	}

@@ -401,7 +401,7 @@ func TestReadBlocksWhileRDLocked(t *testing.T) {
 		nodes[0].Write(3, []byte("slow"))
 		close(done)
 	}()
-	time.Sleep(5 * time.Millisecond) // let the write take the RDLock
+	waitRDLocked(t, nodes[0], 3, done)
 	v, err := nodes[0].Read(3)
 	if err != nil {
 		t.Fatal(err)
@@ -414,6 +414,33 @@ func TestReadBlocksWhileRDLocked(t *testing.T) {
 	}
 	if time.Since(start) < 30*time.Millisecond {
 		t.Error("read returned before the write's persist window — lock not honored")
+	}
+}
+
+// waitRDLocked polls until key's record exists on n and a write holds
+// its RDLock, failing if done (the write's completion) closes first or
+// the wait runs past a generous bound.
+func waitRDLocked(t *testing.T, n *Node, key ddp.Key, done <-chan struct{}) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if r := n.Store().Get(key); r != nil {
+			r.Lock()
+			locked := r.Meta.RDLocked()
+			r.Unlock()
+			if locked {
+				return
+			}
+		}
+		select {
+		case <-done:
+			t.Fatal("write finished before its RDLock was observed")
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the write to take the RDLock")
+		}
+		time.Sleep(20 * time.Microsecond)
 	}
 }
 

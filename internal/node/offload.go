@@ -2,17 +2,14 @@ package node
 
 import (
 	"github.com/minos-ddp/minos/internal/ddp"
-	"github.com/minos-ddp/minos/internal/nvm"
 	"github.com/minos-ddp/minos/internal/obs"
 	"github.com/minos-ddp/minos/internal/offload"
 )
 
 // This file splices the soft-NIC offload engine (internal/offload)
-// into the live node: the routing gate on the delivery path, the NIC
-// handlers the engine's core pool runs, and the dFIFO sink that turns
-// staged follower persists into one group commit plus the
-// acknowledgment fan-out. The invariants the host path establishes
-// survive the split unchanged (DESIGN.md D13):
+// into the live node: the routing gate on the delivery path and the
+// NIC handler the engine's core pool runs. The invariants the host path
+// establishes survive the split unchanged (DESIGN.md D13):
 //
 //   - Per-record ordering: a key is owned by exactly one side at a
 //     time. Promotion needs no fence — the delivery goroutine has run
@@ -20,10 +17,11 @@ import (
 //     demotion waits for the NIC core to drain, and a key always maps
 //     to the same core, so messages for one record are handled in
 //     transport order on whichever side owns it.
-//   - Persist-before-ack: persistThenAck either rides the pipeline's
-//     synchronous inline append (zero-latency pipelines) or stages
-//     into the dFIFO, whose drain persists the whole batch — blocking
-//     until the group commit — before any acknowledgment is sent.
+//   - Persist-before-ack: a NIC core runs the same persistThenAck as
+//     the host, into the same pipeline (the one dFIFO), so the ack
+//     leaves only after the group commit holding its update. A key maps
+//     to one pipeline queue, so persist order matches handling order
+//     across promotion and demotion alike.
 
 // offloadable reports whether m may be routed to the NIC pool: the
 // key-carrying protocol messages. Scope-control messages ([ACK_P]sc,
@@ -51,7 +49,7 @@ func (n *Node) handleOffloaded(m ddp.Message, enq int64) {
 		n.handleOffloadedTraced(m, enq)
 		return
 	}
-	n.handleMessage(m, true)
+	n.handleMessage(m)
 }
 
 // handleOffloadedTraced wraps the NIC dispatch in the two offload
@@ -70,33 +68,12 @@ func (n *Node) handleOffloadedTraced(m ddp.Message, enq int64) {
 		Role: role, Phase: obs.PhaseNICQueue,
 		Start: enq, End: start,
 	})
-	n.handleMessage(m, true)
+	n.handleMessage(m)
 	n.tracer.Record(obs.Span{
 		Key: uint64(m.Key), Ver: int64(m.TS.Version), Node: int32(n.id),
 		Role: role, Phase: obs.PhaseNICHandle,
 		Start: start, End: n.tracer.Now(),
 	})
-}
-
-// drainDurable is the engine's dFIFO sink — the NIC-side group commit.
-// One PersistMany covers the whole staged batch and blocks until the
-// pipeline drains it (the durability point); only then does the
-// acknowledgment fan-out run, so no ack in the batch can outrun its
-// persist. False means the pipeline closed mid-drain (shutdown); the
-// unacknowledged writes are the recovery protocol's problem, exactly
-// as if the frames had been lost in flight.
-func (n *Node) drainDurable(batch []offload.DEntry) bool {
-	ups := make([]nvm.Update, len(batch))
-	for i, e := range batch {
-		ups[i] = nvm.Update{Key: e.Key, TS: e.TS, Value: e.Value, Scope: e.Scope}
-	}
-	if !n.pipe.PersistMany(ups) {
-		return false
-	}
-	for _, e := range batch {
-		n.sendDurableAck(e.To, e.Kind, e.Key, e.TS, e.Scope)
-	}
-	return true
 }
 
 // Offload exposes the soft-NIC engine (nil when offload is disabled);

@@ -90,15 +90,22 @@ func TestOffloadClusterReplicates(t *testing.T) {
 // the soft-NIC engine splicing the delivery path: same concurrent
 // unique-valued writes and reads on one (hot, hence offloaded) key,
 // same requirement that a legal linearization exists — MINOS-O must be
-// observationally equivalent to MINOS-B.
+// observationally equivalent to MINOS-B. The models whose followers
+// persist before acking (Synch, Strict) run one more round with a
+// persist delay, so NIC-core persists go through the queued pipeline.
 func TestOffloadClusterLinearizable(t *testing.T) {
 	for _, model := range ddp.Models {
 		model := model
 		t.Run(model.String(), func(t *testing.T) {
 			t.Parallel()
-			for round := 0; round < 3; round++ {
+			delays := []time.Duration{0, 0, 0}
+			if model == ddp.LinSynch || model == ddp.LinStrict {
+				delays = append(delays, 20*time.Microsecond)
+			}
+			for round, delay := range delays {
 				nodes, _ := newCluster(t, 3, model, func(cfg *Config) {
 					cfg.Offload = offloadTestConfig()
+					cfg.PersistDelay = delay
 				})
 				var mu sync.Mutex
 				var hist []histOp
@@ -268,8 +275,16 @@ func TestOffloadTracePhases(t *testing.T) {
 // acknowledgments must come back in timestamp order across every
 // ownership transfer — no INV dropped, none reordered, none spuriously
 // obsolete — which is the per-record-FIFO half of the D13 equivalence
-// argument exercised end to end.
+// argument exercised end to end, on both persist paths (persistDelays):
+// with a queued pipeline, a host-path ack after a demotion must not
+// overtake a NIC-path ack still waiting for its group commit.
 func TestOffloadOverflowDemotesEndToEnd(t *testing.T) {
+	for _, pd := range persistDelays {
+		t.Run(pd.name, func(t *testing.T) { overflowDemotesEndToEnd(t, pd.delay) })
+	}
+}
+
+func overflowDemotesEndToEnd(t *testing.T, delay time.Duration) {
 	net := transport.NewMemNetwork(2)
 	client := net.Endpoint(0) // raw: we play the coordinator by hand
 	oc := &offload.Config{
@@ -278,7 +293,7 @@ func TestOffloadOverflowDemotesEndToEnd(t *testing.T) {
 		MaxPromotionsPerEpoch: 1 << 20,
 		Epoch:                 -1,
 	}
-	n := New(Config{Model: ddp.LinSynch, Offload: oc}, net.Endpoint(1))
+	n := New(Config{Model: ddp.LinSynch, PersistDelay: delay, Offload: oc}, net.Endpoint(1))
 	n.Start()
 	defer n.Close()
 

@@ -25,18 +25,35 @@ func TestKeyAffineOrdering(t *testing.T) {
 // first INVs run on the delivery goroutine, the key is promoted, and
 // the rest run on a NIC core. Promotion is unfenced — it relies on the
 // delivery goroutine having run every earlier message to completion —
-// so the acknowledgments must still come back in exact version order.
+// so the acknowledgments must still come back in exact version order,
+// both with the inline append (no delay) and through the queued
+// group-commit pipeline both sides share (persistDelays).
 func TestKeyAffineOrderingAcrossPromotion(t *testing.T) {
-	n := keyAffineBurst(t, Config{Model: ddp.LinSynch, Offload: &offload.Config{
-		InitialThreshold: 64, MinThreshold: 64,
-		MaxPromotionsPerEpoch: 1 << 20,
-		Epoch:                 -1,
-	}})
-	eng := n.Offload()
-	if eng.Promotions() != 1 || eng.HostFrames() == 0 || eng.NICFrames() == 0 {
-		t.Fatalf("burst did not cross a promotion: %d promotions, %d host frames, %d NIC frames",
-			eng.Promotions(), eng.HostFrames(), eng.NICFrames())
+	for _, pd := range persistDelays {
+		t.Run(pd.name, func(t *testing.T) {
+			n := keyAffineBurst(t, Config{Model: ddp.LinSynch, PersistDelay: pd.delay, Offload: &offload.Config{
+				InitialThreshold: 64, MinThreshold: 64,
+				MaxPromotionsPerEpoch: 1 << 20,
+				Epoch:                 -1,
+			}})
+			eng := n.Offload()
+			if eng.Promotions() != 1 || eng.HostFrames() == 0 || eng.NICFrames() == 0 {
+				t.Fatalf("burst did not cross a promotion: %d promotions, %d host frames, %d NIC frames",
+					eng.Promotions(), eng.HostFrames(), eng.NICFrames())
+			}
+		})
 	}
+}
+
+// persistDelays are the two persist paths the offload ordering tests
+// cross: a zero delay appends inline on the handling goroutine, a
+// non-zero one queues into the pipeline and acks from its drain engine.
+var persistDelays = []struct {
+	name  string
+	delay time.Duration
+}{
+	{"inline", 0},
+	{"queued", 20 * time.Microsecond},
 }
 
 // keyAffineBurst runs the TestKeyAffineOrdering burst against one

@@ -82,7 +82,7 @@ func TestReadIntoBlocksWhileRDLocked(t *testing.T) {
 		nodes[0].Write(3, []byte("slow"))
 		close(done)
 	}()
-	time.Sleep(5 * time.Millisecond) // let the write take the RDLock
+	waitRDLocked(t, nodes[0], 3, done)
 	v, err := nodes[0].ReadInto(3, make([]byte, 0, 16))
 	if err != nil {
 		t.Fatal(err)

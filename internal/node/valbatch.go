@@ -109,7 +109,7 @@ func (n *Node) handleValBatch(m ddp.Message) {
 		e := ddp.DecodeValEntry(b)
 		e.From = m.From
 		e.Size = ddp.ControlSize()
-		n.handleMessage(e, false)
+		n.handleMessage(e)
 		b = b[valEntryBytes:]
 	}
 }

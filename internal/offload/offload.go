@@ -2,11 +2,12 @@
 // takes over protocol-message handling for hot keys. A dedicated pool
 // of "NIC cores" (goroutines standing in for the SmartNIC's wimpy
 // cores) drains per-core bounded vFIFOs of volatile protocol work —
-// INV apply, ack counting, VAL fan-out — while a shared bounded dFIFO
-// stages follower persists for group commit, mirroring the paper's
-// §V-B vFIFO/dFIFO split. A key always maps to the same core
-// (ddp.Key.Hash affinity), so per-key FIFO is preserved on either side
-// of the boundary.
+// INV apply, ack counting, VAL fan-out. The engine has no dFIFO of its
+// own: a follower persist issued on a NIC core enqueues into the node's
+// group-commit pipeline (nvm.Pipeline), the same one dFIFO the host
+// path uses, and its acknowledgment leaves from there. A key always
+// maps to the same core (ddp.Key.Hash affinity), so per-key FIFO is
+// preserved on either side of the boundary.
 //
 // The boundary is adaptive. A fixed-size heat table (epoch-bucketed
 // counters, one atomic word per slot) promotes keys that cross a
@@ -30,21 +31,8 @@ import (
 	"github.com/minos-ddp/minos/internal/obs"
 )
 
-// DEntry is one staged follower persist in the dFIFO: the update to
-// make durable plus the acknowledgment to send once its group commit
-// drains. Value is only valid for the duration of the Durable sink
-// call; the engine reclaims the buffer when the sink returns.
-type DEntry struct {
-	Key   ddp.Key
-	TS    ddp.Timestamp
-	Value []byte
-	Scope ddp.ScopeID
-	To    ddp.NodeID
-	Kind  ddp.MsgKind
-}
-
 // Config tunes an Engine. The zero value of every field selects a
-// sensible default; Handler and Durable are the only required fields.
+// sensible default; Handler is the only required field.
 type Config struct {
 	// Cores is the soft-NIC core pool size (rounded up to a power of
 	// two). Each core owns one vFIFO and handles a fixed hash slice of
@@ -53,13 +41,6 @@ type Config struct {
 	// VFIFODepth bounds each core's vFIFO. An admission that finds the
 	// vFIFO full demotes the key back to the host path. Default 1024.
 	VFIFODepth int
-	// DFIFODepth bounds the shared durability-staging queue; a full
-	// dFIFO makes StageDurable return false and the caller falls back
-	// to the host persist path. Default 4096.
-	DFIFODepth int
-	// DFIFOBatch caps how many staged persists one group commit
-	// absorbs. Default 64.
-	DFIFOBatch int
 	// Slots sizes the heat table (rounded up to a power of two); keys
 	// hashing to the same slot share heat and offload state, a
 	// count-min-style approximation that keeps the table fixed-size
@@ -89,11 +70,6 @@ type Config struct {
 	// message's Value is engine-owned and must not be retained after
 	// the handler returns unless copied.
 	Handler func(m ddp.Message, enq int64)
-	// Durable drains one dFIFO batch: persist every entry, then send
-	// the acknowledgments. It must not retain the batch or any entry
-	// Value past its return. A false return (the node is closing) stops
-	// nothing — the drain loop keeps feeding batches until Close.
-	Durable func(batch []DEntry) bool
 	// Now, when non-nil, stamps vFIFO admissions so the handler can
 	// attribute queue residency (the PhaseNICQueue trace span). Nil
 	// disables stamping and the hot path pays no clock read.
@@ -107,12 +83,6 @@ func (c Config) withDefaults() Config {
 	c.Cores = ceilPow2(c.Cores)
 	if c.VFIFODepth <= 0 {
 		c.VFIFODepth = 1024
-	}
-	if c.DFIFODepth <= 0 {
-		c.DFIFODepth = 4096
-	}
-	if c.DFIFOBatch <= 0 {
-		c.DFIFOBatch = 64
 	}
 	if c.Slots <= 0 {
 		c.Slots = 4096
@@ -198,12 +168,6 @@ type vEntry struct {
 	enq int64
 }
 
-// dEntry is one dFIFO element (DEntry plus its owned value buffer).
-type dEntry struct {
-	e   DEntry
-	buf []byte
-}
-
 // nicCore is one soft-NIC core: a bounded vFIFO and the monotonic
 // admission/completion counts the demotion fence reads.
 type nicCore struct {
@@ -220,7 +184,6 @@ type Engine struct {
 	coreMask uint64
 	slots    []slot
 	slotMask uint64
-	dfifo    chan *dEntry
 
 	epoch     atomic.Uint32
 	threshold atomic.Uint32
@@ -233,7 +196,6 @@ type Engine struct {
 	epHost     atomic.Int64
 
 	ventries sync.Pool
-	dentries sync.Pool
 
 	closed atomic.Bool
 	stop   chan struct{}
@@ -247,12 +209,9 @@ type Engine struct {
 	denied     *obs.Counter
 	overflows  *obs.Counter
 	epochs     *obs.Counter
-	dBatches   *obs.Counter
-	dEntries   *obs.Counter
 	thresholdG *obs.Gauge
 	offloadedG *obs.Gauge
 	vDepth     *obs.Histogram
-	dDepth     *obs.Histogram
 }
 
 // New builds an engine; call Start before routing.
@@ -263,7 +222,6 @@ func New(cfg Config) *Engine {
 		coreMask: uint64(cfg.Cores - 1),
 		slots:    make([]slot, cfg.Slots),
 		slotMask: uint64(cfg.Slots - 1),
-		dfifo:    make(chan *dEntry, cfg.DFIFODepth),
 		stop:     make(chan struct{}),
 	}
 	e.cores = make([]*nicCore, cfg.Cores)
@@ -272,7 +230,6 @@ func New(cfg Config) *Engine {
 	}
 	e.threshold.Store(cfg.InitialThreshold)
 	e.ventries.New = func() any { return &vEntry{} }
-	e.dentries.New = func() any { return &dEntry{} }
 	e.reg = obs.NewRegistry("offload")
 	e.framesNIC = e.reg.Counter("frames_nic")
 	e.framesHost = e.reg.Counter("frames_host")
@@ -281,26 +238,18 @@ func New(cfg Config) *Engine {
 	e.denied = e.reg.Counter("promotions_denied")
 	e.overflows = e.reg.Counter("vfifo_overflows")
 	e.epochs = e.reg.Counter("epochs")
-	e.dBatches = e.reg.Counter("dfifo_batches")
-	e.dEntries = e.reg.Counter("dfifo_entries")
 	e.thresholdG = e.reg.Gauge("threshold")
 	e.offloadedG = e.reg.Gauge("offloaded_slots")
 	e.vDepth = e.reg.Histogram("vfifo_depth")
-	e.dDepth = e.reg.Histogram("dfifo_depth")
 	e.thresholdG.Set(int64(cfg.InitialThreshold))
 	return e
 }
 
-// Start launches the core pool, the dFIFO drain, and (unless disabled)
-// the epoch ticker.
+// Start launches the core pool and (unless disabled) the epoch ticker.
 func (e *Engine) Start() {
 	for _, c := range e.cores {
 		e.wg.Add(1)
 		go e.coreLoop(c)
-	}
-	if e.cfg.Durable != nil {
-		e.wg.Add(1)
-		go e.drainLoop()
 	}
 	if e.cfg.Epoch > 0 {
 		e.wg.Add(1)
@@ -487,34 +436,6 @@ func (e *Engine) hostRouted() {
 	e.epHost.Add(1)
 }
 
-// StageDurable stages one follower persist (and its pending
-// acknowledgment) into the dFIFO. False means the dFIFO is full or the
-// engine is closed; the caller must fall back to the host persist
-// path. The value is copied; callers keep ownership of theirs.
-//
-//minos:hotpath
-func (e *Engine) StageDurable(key ddp.Key, ts ddp.Timestamp, value []byte, sc ddp.ScopeID, to ddp.NodeID, kind ddp.MsgKind) bool {
-	if e.closed.Load() || e.cfg.Durable == nil {
-		return false
-	}
-	ent := e.dentries.Get().(*dEntry)
-	ent.buf = append(ent.buf[:0], value...)
-	ent.e.Key = key
-	ent.e.TS = ts
-	ent.e.Value = ent.buf
-	ent.e.Scope = sc
-	ent.e.To = to
-	ent.e.Kind = kind
-	select {
-	case e.dfifo <- ent:
-		e.dDepth.Observe(int64(len(e.dfifo)))
-		return true
-	default:
-		e.dentries.Put(ent)
-		return false
-	}
-}
-
 // coreLoop is one soft-NIC core: drain the vFIFO, run each message to
 // completion, bump the completion count the demotion fence watches.
 func (e *Engine) coreLoop(c *nicCore) {
@@ -528,43 +449,6 @@ func (e *Engine) coreLoop(c *nicCore) {
 			c.done.Add(1)
 			ent.m = ddp.Message{}
 			e.ventries.Put(ent)
-		}
-	}
-}
-
-// drainLoop is the dFIFO engine: gather a batch, hand it to the
-// Durable sink (one group persist, then the acks), reclaim the
-// entries.
-func (e *Engine) drainLoop() {
-	defer e.wg.Done()
-	batch := make([]*dEntry, 0, e.cfg.DFIFOBatch)
-	pub := make([]DEntry, 0, e.cfg.DFIFOBatch)
-	for {
-		select {
-		case <-e.stop:
-			return
-		case ent := <-e.dfifo:
-			batch = append(batch[:0], ent)
-		fill:
-			for len(batch) < e.cfg.DFIFOBatch {
-				select {
-				case more := <-e.dfifo:
-					batch = append(batch, more)
-				default:
-					break fill
-				}
-			}
-			pub = pub[:0]
-			for _, b := range batch {
-				pub = append(pub, b.e)
-			}
-			e.dBatches.Add(1)
-			e.dEntries.Add(int64(len(batch)))
-			_ = e.cfg.Durable(pub)
-			for _, b := range batch {
-				b.e = DEntry{}
-				e.dentries.Put(b)
-			}
 		}
 	}
 }
