@@ -35,7 +35,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "workload seed")
 	tcp := flag.Bool("tcp", false, "run over loopback TCP (real batched wire path) instead of the in-process fabric; alias for -fabric tcp")
 	fabricFlag := flag.String("fabric", "", "cluster interconnect: mem (default), ring (shared-memory SPSC rings, polled inline), or tcp")
-	drains := flag.Int("drains", 0, "NVM drain engines per node (0 = node default)")
 	jsonPath := flag.String("json", "", "write results into this JSON file (existing 'before' and 'after.microbench' keys are preserved)")
 	tracePath := flag.String("trace", "", "record per-transaction phase spans and write them to this JSON file (minos-trace's input)")
 	traceSample := flag.Int("trace-sample", obs.DefaultSampleEvery, "trace one transaction in N (1 = every transaction)")
@@ -71,10 +70,9 @@ func main() {
 		mode, *nodes, *workers, *requests, int(*writes*100), *persist, fabricDesc)
 	results, err := livebench.RunAllModels(livebench.Config{
 		Cluster: loadgen.Cluster{
-			Nodes:         *nodes,
-			PersistDelay:  *persist,
-			PersistDrains: *drains,
-			Fabric:        fabric,
+			Nodes:        *nodes,
+			PersistDelay: *persist,
+			Fabric:       fabric,
 		},
 		Load: livebench.Load{
 			WorkersPerNode:  *workers,

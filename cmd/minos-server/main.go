@@ -43,7 +43,6 @@ func main() {
 	heartbeat := flag.Duration("heartbeat", 200*time.Millisecond, "failure-detector heartbeat interval")
 	failAfter := flag.Duration("fail-after", time.Second, "silence before a peer is declared failed")
 	recoverFrom := flag.Int("recover-from", -1, "on startup, pull the log tail from this node (-1 = none)")
-	drains := flag.Int("drains", 0, "NVM drain engines (0 = default)")
 	offloadOn := flag.Bool("offload", false, "enable the soft-NIC offload engine (MINOS-O)")
 	flag.Parse()
 
@@ -69,7 +68,6 @@ func main() {
 		PersistDelay:   *persistDelay,
 		HeartbeatEvery: *heartbeat,
 		FailAfter:      *failAfter,
-		PersistDrains:  *drains,
 	}
 	if *offloadOn {
 		cfg.Offload = &offload.Config{}

@@ -43,10 +43,9 @@ func StartCluster(cl Cluster, ob Observe, off Offload, clientConns int) (*LiveCl
 			lc.Tracers[i].SetSampleEvery(ob.TraceSample)
 		}
 		cfg := node.Config{
-			Model:         cl.Model,
-			PersistDelay:  cl.PersistDelay,
-			PersistDrains: cl.PersistDrains,
-			Tracer:        lc.Tracers[i],
+			Model:        cl.Model,
+			PersistDelay: cl.PersistDelay,
+			Tracer:       lc.Tracers[i],
 		}
 		if clientConns > 0 {
 			cfg.ClientWindow = cl.ClientWindow

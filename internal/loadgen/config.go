@@ -32,9 +32,6 @@ type Cluster struct {
 	// PersistDelay emulates the NVM persist latency (Table II charges
 	// 1295 ns/KB).
 	PersistDelay time.Duration
-	// PersistDrains sizes each node's NVM drain-engine pool (0 = node
-	// default).
-	PersistDrains int
 	// Fabric selects the interconnect: "mem" (channel-based in-process
 	// fabric, the default), "ring" (shared-memory SPSC rings with
 	// inline polling), or "tcp" (loopback TCP mesh).

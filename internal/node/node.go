@@ -32,8 +32,9 @@ type Config struct {
 	Model ddp.Model
 	// PersistDelay emulates the NVM write latency charged before a
 	// persist is considered durable (the paper emulates 1295ns/KB).
-	// The delay is charged once per drained group commit, not once per
-	// entry — the dFIFO batching of §V-B.4. Zero persists instantly.
+	// The delay is charged once per group commit of the node's one
+	// dFIFO, not once per entry — the batching of §V-B.4. Zero persists
+	// instantly.
 	PersistDelay time.Duration
 	// HeartbeatEvery and FailAfter drive the failure detector: a peer
 	// silent for FailAfter is declared failed and writes stop waiting
@@ -42,9 +43,6 @@ type Config struct {
 	FailAfter      time.Duration
 	// Shards sizes the KV store's lock striping.
 	Shards int
-	// PersistDrains is the number of NVM drain engines (persist queues)
-	// feeding the log. Rounded up to a power of two; default 4.
-	PersistDrains int
 	// Tracer, when non-nil, records per-transaction phase spans on the
 	// write path (obs.Phase taxonomy). Nil disables tracing; the hot
 	// path then pays a single predictable branch per phase boundary.
@@ -239,9 +237,6 @@ func New(cfg Config, tr transport.Transport) *Node {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 64
 	}
-	if cfg.PersistDrains <= 0 {
-		cfg.PersistDrains = 4
-	}
 	n := &Node{
 		cfg:       cfg,
 		policy:    ddp.PolicyFor(cfg.Model),
@@ -292,7 +287,6 @@ func New(cfg Config, tr transport.Transport) *Node {
 		// pre-pipeline semantics where every persist charged the full
 		// delay; group commit amortizes it across a drained batch.
 		Lat:      nvm.LatencyModel{FixedNs: cfg.PersistDelay.Nanoseconds()},
-		Drains:   cfg.PersistDrains,
 		OnBatch:  n.onPersistBatch,
 		OnInline: n.onPersistInline,
 		OnAck:    n.sendDurableAck,
@@ -610,8 +604,8 @@ func (n *Node) removePending(key ddp.Key, ts ddp.Timestamp) {
 // its coordinator — the follower's persist-before-ack step (Fig 2
 // L39-40) — without parking the caller for the NVM latency. It runs
 // the same on the delivery goroutine and on a soft-NIC core: both enqueue
-// into the one pipeline, whose per-key queues keep a record's persists
-// (and so its acks) in handling order. Every branch orders the
+// into the one pipeline, whose single FIFO keeps the node's persists
+// (and so its acks) in enqueue order. Every branch orders the
 // acknowledgment strictly after the log append:
 //
 //   - a sampled transaction pays for a continuation closure, which is
@@ -683,7 +677,7 @@ func (n *Node) persistMany(entries []scopeEntry, sc ddp.ScopeID) bool {
 	return n.pipe.PersistMany(ups)
 }
 
-// onPersistBatch runs on a drain engine after each group commit: it
+// onPersistBatch runs on the drain engine after each group commit: it
 // counts the drained entries and wakes each touched record once per
 // batch (instead of once per entry) so PersistencySpin waiters observe
 // the new durable timestamps.

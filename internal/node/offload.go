@@ -19,8 +19,8 @@ import (
 //     transport order on whichever side owns it.
 //   - Persist-before-ack: a NIC core runs the same persistThenAck as
 //     the host, into the same pipeline (the one dFIFO), so the ack
-//     leaves only after the group commit holding its update. A key maps
-//     to one pipeline queue, so persist order matches handling order
+//     leaves only after the group commit holding its update. The
+//     pipeline is one FIFO, so persist order matches handling order
 //     across promotion and demotion alike.
 
 // offloadable reports whether m may be routed to the NIC pool: the

@@ -135,8 +135,6 @@ func TestNodeGroupCommit(t *testing.T) {
 		nodes[i] = New(Config{
 			Model:        ddp.LinSynch,
 			PersistDelay: 2 * time.Millisecond,
-			// One drain per node so concurrent persists must share a queue.
-			PersistDrains: 1,
 		}, net.Endpoint(ddp.NodeID(i)))
 		nodes[i].Start()
 	}

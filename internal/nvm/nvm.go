@@ -216,47 +216,6 @@ func (l *Log) Append(key ddp.Key, ts ddp.Timestamp, value []byte, scope ddp.Scop
 	return seq
 }
 
-// appendBatch appends one drained group commit, taking each destination
-// shard's lock once per batch rather than once per entry. Entries for
-// the same key keep their slice order (the drain queue's FIFO order).
-// Values are copied into the shard arenas: the caller's buffers are
-// drain-queue recycles, free for reuse the moment this returns.
-func (l *Log) appendBatch(entries []batchEntry) {
-	if len(entries) == 0 {
-		return
-	}
-	if len(entries) == 1 {
-		e := &entries[0]
-		l.Append(e.key, e.ts, e.value, e.scope)
-		return
-	}
-	shardOf := make([]uint64, len(entries))
-	for i := range entries {
-		shardOf[i] = l.shardIndex(entries[i].key)
-	}
-	done := make([]bool, len(entries))
-	for i := range entries {
-		if done[i] {
-			continue
-		}
-		sh := &l.shards[shardOf[i]]
-		sh.mu.Lock()
-		for j := i; j < len(entries); j++ {
-			if done[j] || shardOf[j] != shardOf[i] {
-				continue
-			}
-			e := &entries[j]
-			seq := l.nextSeq.Add(1) - 1
-			sh.appendEntry(Entry{Seq: seq, Key: e.key, TS: e.ts, Value: sh.copyToArena(e.value), Scope: e.scope})
-			if cur, ok := sh.durable[e.key]; !ok || cur.Less(e.ts) {
-				sh.durable[e.key] = e.ts
-			}
-			done[j] = true
-		}
-		sh.mu.Unlock()
-	}
-}
-
 // Len returns the number of log entries.
 func (l *Log) Len() int {
 	n := 0

@@ -10,22 +10,22 @@ import (
 	"github.com/minos-ddp/minos/internal/obs"
 )
 
-// Pipeline is the software analogue of the paper's dFIFO drain engines
-// (§V-B.4, modeled for the offloaded runtime in simcluster): updates
-// headed for NVM are enqueued on per-key-shard persist queues and
-// drained by one worker per queue. Each drain is a group commit — one
-// LatencyModel charge covers every entry that coalesced into the batch
-// while the previous batch was draining — and completes with a single
-// wake for all blocked persisters.
+// Pipeline is the software analogue of the paper's dFIFO (§V-B.4,
+// modeled for the offloaded runtime in simcluster): updates headed for
+// NVM are enqueued on the node's one persist queue and drained by one
+// worker. Each drain is a group commit — one LatencyModel charge covers
+// every entry that coalesced into the batch while the previous batch
+// was draining — and completes with a single wake for all blocked
+// persisters.
 //
-// Ordering: a key always maps to the same queue, and a queue's batches
-// drain strictly in FIFO order, so persists for one record reach the
-// log in enqueue order (the per-record ordering Fig 2 relies on).
-// Across records, batches from different queues interleave freely;
-// that is exactly the out-of-order log insertion §V-B.4 permits,
-// because obsolete entries are filtered when the log is applied.
+// Ordering: batches drain strictly in FIFO order and a batch appends
+// its entries in slice order, so the log's Seq order is the enqueue
+// order, across all keys. That is stronger than the per-record order
+// Fig 2 relies on; §V-B.4 would permit cross-record reordering (obsolete
+// entries are filtered when the log is applied), but one engine never
+// produces it.
 //
-// The queued path is allocation-free in steady state: each queue
+// The queued path is allocation-free in steady state: the queue
 // recycles its value buffers (a free list) and alternates between two
 // generation-counted batches (cur accumulating, spare draining), and
 // durable acknowledgments ride entry fields dispatched through the
@@ -37,10 +37,10 @@ type Pipeline struct {
 	onInline func(key ddp.Key)
 	onAck    func(to ddp.NodeID, kind ddp.MsgKind, key ddp.Key, ts ddp.Timestamp, scope ddp.ScopeID)
 
-	queues []*drainQueue
-	mask   uint64
+	// q is the one dFIFO, drained by one worker.
+	q drainQueue
 
-	// inline short-circuits the queues entirely when the latency model
+	// inline short-circuits the queue entirely when the latency model
 	// charges nothing: the append happens synchronously in the caller,
 	// so a zero-delay configuration pays no handoff cost.
 	inline bool
@@ -50,7 +50,7 @@ type Pipeline struct {
 	wg     sync.WaitGroup
 
 	// Instruments live in one registry under "nvm.pipeline". The spin
-	// and park counters expose the drain engines' CPU model (DESIGN.md
+	// and park counters expose the drain worker's CPU model (DESIGN.md
 	// D8): spin_charges batches burned on the yield-spin path,
 	// spin_yields the Gosched iterations that cost, timer_parks batches
 	// that slept on a runtime timer instead.
@@ -69,9 +69,6 @@ type Pipeline struct {
 type PipelineConfig struct {
 	// Lat is the modeled NVM latency charged once per drained batch.
 	Lat LatencyModel
-	// Drains is the number of persist queues / drain workers (the dFIFO
-	// count). Rounded up to a power of two; default 4.
-	Drains int
 	// OnBatch, when set, runs on the drain worker after a batch is
 	// appended, with the batch's distinct keys and total entry count.
 	// The node layer uses it to wake each record once per batch and to
@@ -132,7 +129,7 @@ func newDrainBatch() *drainBatch {
 	return b
 }
 
-// maxFreeBufs bounds a queue's value-buffer free list; beyond it,
+// maxFreeBufs bounds the queue's value-buffer free list; beyond it,
 // drained buffers are dropped for the GC (a burst's memory is not
 // pinned forever).
 const maxFreeBufs = 256
@@ -144,29 +141,21 @@ type drainQueue struct {
 	bufs  [][]byte      // value-buffer free list
 	wake  chan struct{} // cap 1: at most one pending wake signal
 
-	// keys is the drain worker's distinct-key scratch; only the queue's
-	// single worker touches it, outside mu.
+	// keys is the drain worker's distinct-key scratch; only the worker
+	// touches it, outside mu.
 	keys []ddp.Key
 }
 
 // NewPipeline builds a pipeline draining into log and starts its
-// workers. Close stops them.
+// worker. Close stops it.
 func NewPipeline(log *Log, cfg PipelineConfig) *Pipeline {
-	drains := cfg.Drains
-	if drains <= 0 {
-		drains = 4
-	}
-	n := 1
-	for n < drains {
-		n <<= 1
-	}
 	p := &Pipeline{
 		log:      log,
 		lat:      cfg.Lat,
 		onBatch:  cfg.OnBatch,
 		onInline: cfg.OnInline,
 		onAck:    cfg.OnAck,
-		mask:     uint64(n - 1),
+		q:        drainQueue{cur: newDrainBatch(), wake: make(chan struct{}, 1)},
 		inline:   cfg.Lat.Zero(),
 		stop:     make(chan struct{}),
 	}
@@ -179,15 +168,9 @@ func NewPipeline(log *Log, cfg PipelineConfig) *Pipeline {
 	p.pending = p.reg.Gauge("pending")
 	p.batchEntries = p.reg.Histogram("batch_entries")
 	p.drainNs = p.reg.Histogram("drain_ns")
-	p.queues = make([]*drainQueue, n)
-	for i := range p.queues {
-		p.queues[i] = &drainQueue{cur: newDrainBatch(), wake: make(chan struct{}, 1)}
-	}
 	if !p.inline {
-		for _, q := range p.queues {
-			p.wg.Add(1)
-			go p.drainWorker(q)
-		}
+		p.wg.Add(1)
+		go p.drainWorker()
 	}
 	return p
 }
@@ -209,7 +192,7 @@ func (p *Pipeline) Describe() string { return "nvm.pipeline" }
 // size and drain latency distributions) to s.
 func (p *Pipeline) Collect(s *obs.Snapshot) { p.reg.Collect(s) }
 
-// Close stops the drain workers and wakes every blocked persister.
+// Close stops the drain worker and wakes every blocked persister.
 // Blocked Persist/PersistMany callers return false; updates still
 // queued are dropped (a closing node makes no further durability
 // promises).
@@ -224,35 +207,26 @@ func (p *Pipeline) Close() {
 	// waiter either observes closed before parking or holds the batch
 	// mutex from its check to its Wait — the broadcast below cannot
 	// slip into that window.
-	for _, q := range p.queues {
-		q.mu.Lock()
-		cur, spare := q.cur, q.spare
-		q.mu.Unlock()
-		for _, b := range []*drainBatch{cur, spare} {
-			if b == nil {
-				continue
-			}
-			b.mu.Lock()
-			b.cond.Broadcast()
-			b.mu.Unlock()
+	q := &p.q
+	q.mu.Lock()
+	cur, spare := q.cur, q.spare
+	q.mu.Unlock()
+	for _, b := range []*drainBatch{cur, spare} {
+		if b == nil {
+			continue
 		}
+		b.mu.Lock()
+		b.cond.Broadcast()
+		b.mu.Unlock()
 	}
 }
 
-func (p *Pipeline) queueFor(key ddp.Key) *drainQueue {
-	return p.queues[key.Hash()>>32&p.mask]
-}
-
-// enqueue adds one update to its queue's current batch, signalling the
-// drain worker. It returns the batch and the generation to wait for.
-// The value lands in a recycled queue buffer — the steady-state enqueue
-// allocates nothing. The generation read is stable: the batch cannot
-// swap out (let alone complete) while the queue lock pins it as cur.
+// add appends e to the accumulating batch; the caller holds q.mu. The
+// value lands in a recycled queue buffer — the steady-state enqueue
+// allocates nothing.
 //
 //minos:hotpath
-func (p *Pipeline) enqueue(e batchEntry) (*drainBatch, uint64) {
-	q := p.queueFor(e.key)
-	q.mu.Lock()
+func (q *drainQueue) add(e batchEntry) {
 	if n := len(q.bufs); n > 0 {
 		buf := q.bufs[n-1]
 		q.bufs = q.bufs[:n-1]
@@ -260,17 +234,34 @@ func (p *Pipeline) enqueue(e batchEntry) (*drainBatch, uint64) {
 	} else {
 		e.value = append([]byte(nil), e.value...)
 	}
+	q.cur.entries = append(q.cur.entries, e)
+	q.cur.bytes += len(e.value)
+}
+
+// enqueue adds one update to the current batch, signalling the drain
+// worker. It returns the batch and the generation to wait for. The
+// generation read is stable: the batch cannot swap out (let alone
+// complete) while the queue lock pins it as cur.
+//
+//minos:hotpath
+func (p *Pipeline) enqueue(e batchEntry) (*drainBatch, uint64) {
+	q := &p.q
+	q.mu.Lock()
 	b := q.cur
 	g := b.gen.Load()
-	b.entries = append(b.entries, e)
-	b.bytes += len(e.value)
+	q.add(e)
 	q.mu.Unlock()
-	p.pending.Add(1)
-	select {
-	case q.wake <- struct{}{}:
-	default: // a wake is already pending; the worker will see the entry
-	}
+	p.queued(1)
 	return b, g
+}
+
+// queued counts n freshly enqueued entries and signals the worker.
+func (p *Pipeline) queued(n int) {
+	p.pending.Add(int64(n))
+	select {
+	case p.q.wake <- struct{}{}:
+	default: // a wake is already pending; the worker will see the entries
+	}
 }
 
 // waitBatch blocks until the batch generation captured at enqueue has
@@ -374,11 +365,15 @@ func (p *Pipeline) Persist(key ddp.Key, ts ddp.Timestamp, value []byte, scope dd
 }
 
 // PersistMany submits a set of updates (a scope flush) and blocks until
-// every batch they landed in has drained. One durability wait covers
-// the whole set.
+// they have drained. The set is enqueued under one queue lock, so it
+// lands in one batch, and batches drain in order: that batch's wait
+// also covers everything enqueued before it.
 func (p *Pipeline) PersistMany(updates []Update) bool {
 	if p.closed.Load() {
 		return false
+	}
+	if len(updates) == 0 {
+		return true
 	}
 	if p.inline {
 		for _, u := range updates {
@@ -386,42 +381,29 @@ func (p *Pipeline) PersistMany(updates []Update) bool {
 		}
 		return true
 	}
-	type wait struct {
-		b *drainBatch
-		g uint64
-	}
-	var waits []wait
+	q := &p.q
+	q.mu.Lock()
+	b := q.cur
+	g := b.gen.Load()
 	for _, u := range updates {
-		b, g := p.enqueue(batchEntry{key: u.Key, ts: u.TS, value: u.Value, scope: u.Scope})
-		dup := false
-		for _, w := range waits {
-			// Same batch implies same generation: the batch cannot have
-			// completed (and re-accumulated) between two enqueues that
-			// both found it as cur.
-			if w.b == b {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			waits = append(waits, wait{b, g})
-		}
+		q.add(batchEntry{key: u.Key, ts: u.TS, value: u.Value, scope: u.Scope})
 	}
-	for _, w := range waits {
-		if !p.waitBatch(w.b, w.g) {
-			return false
-		}
-	}
-	return true
+	q.mu.Unlock()
+	p.queued(len(updates))
+	return p.waitBatch(b, g)
 }
 
-// spinLatencyNs is the largest modeled device latency a drain engine
+// spinLatencyNs is the largest modeled device latency the drain worker
 // yield-spins through instead of parking on a runtime timer. Table II's
-// device writes are ~1.3 µs, but parking a goroutine on a timer costs
-// tens of microseconds of wake latency on a quiet machine — which would
-// charge the sleeping runtime, not the modeled device. A dedicated
-// hardware drain engine is busy for exactly the device-write time; the
-// yield-spin models that (and still lets other goroutines run).
+// device writes are ~1.3 µs, and parking on a timer costs tens of
+// microseconds of wake latency even on a quiet machine. The spin does
+// not buy device-time fidelity under load, though: each Gosched is a
+// trip through the scheduler's run queue, so a loaded 2-vCPU cluster
+// measures one yield per batch (nvm.spin_yields_per_batch 1.0) and a
+// 60-80 µs drain for a 1.3 µs charge. The charge's real cost is that
+// round trip, which is why there is one drain worker: more workers added
+// spinners, not throughput (DESIGN.md D8). A busy spin measured worse:
+// it holds the vCPU the protocol goroutines need.
 const spinLatencyNs = 100_000
 
 // timerPool recycles the park timers of the long-latency charge path so
@@ -431,7 +413,8 @@ const spinLatencyNs = 100_000
 var timerPool sync.Pool
 
 // chargeLatency models the device write for one batch: short latencies
-// yield-spin, long ones park on a pooled stop-aware timer. Returns
+// yield-spin (in practice one scheduler round trip per batch, see
+// spinLatencyNs), long ones park on a pooled stop-aware timer. Returns
 // false when the pipeline stopped mid-charge.
 func (p *Pipeline) chargeLatency(ns int64) bool {
 	if ns <= 0 {
@@ -469,29 +452,30 @@ func (p *Pipeline) chargeLatency(ns int64) bool {
 	}
 }
 
-// drainWorker is one dFIFO engine: it swaps out the queue's accumulated
-// batch, charges the modeled NVM latency once for the whole batch, and
-// appends it. The sleep selects on stop so a closing node never waits
-// out a persist delay.
-func (p *Pipeline) drainWorker(q *drainQueue) {
+// drainWorker is the dFIFO's drain engine: it swaps out the queue's
+// accumulated batch, charges the modeled NVM latency once for the whole
+// batch, and appends it. The sleep selects on stop so a closing node
+// never waits out a persist delay.
+func (p *Pipeline) drainWorker() {
 	defer p.wg.Done()
 	for {
 		select {
 		case <-p.stop:
 			return
-		case <-q.wake:
+		case <-p.q.wake:
 		}
-		if !p.drain(q) {
+		if !p.drain() {
 			return
 		}
 	}
 }
 
-// drain processes every batch accumulated on q, returning false when
-// the pipeline stopped mid-drain. Steady state alternates two batches
-// per queue: while one accumulates as cur, the other drains here and is
-// recycled to spare at the end.
-func (p *Pipeline) drain(q *drainQueue) bool {
+// drain processes every accumulated batch, returning false when the
+// pipeline stopped mid-drain. Steady state alternates two batches:
+// while one accumulates as cur, the other drains here and is recycled
+// to spare at the end.
+func (p *Pipeline) drain() bool {
+	q := &p.q
 	for {
 		q.mu.Lock()
 		b := q.cur
@@ -516,7 +500,13 @@ func (p *Pipeline) drain(q *drainQueue) bool {
 			b.mu.Unlock()
 			return false
 		}
-		p.log.appendBatch(b.entries)
+		// Appending in slice order makes the log's Seq order the enqueue
+		// order; Append copies each value into the log's arena, so the
+		// batch's buffers are free for reuse right after.
+		for i := range b.entries {
+			e := &b.entries[i]
+			p.log.Append(e.key, e.ts, e.value, e.scope)
+		}
 		p.drainNs.Observe(int64(time.Since(start)))
 
 		// Bookkeeping and the hooks run before anyone unblocks so a

@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,8 +19,7 @@ func TestGroupCommitDurability(t *testing.T) {
 	const delay = 100 * time.Millisecond
 	log := NewLog()
 	p := NewPipeline(log, PipelineConfig{
-		Lat:    LatencyModel{FixedNs: delay.Nanoseconds()},
-		Drains: 1, // one queue: every persist coalesces into one batch
+		Lat: LatencyModel{FixedNs: delay.Nanoseconds()},
 	})
 	defer p.Close()
 
@@ -87,8 +87,7 @@ func TestGroupCommitDurability(t *testing.T) {
 func TestPipelineMatchesPerEntryLog(t *testing.T) {
 	piped := NewLog()
 	p := NewPipeline(piped, PipelineConfig{
-		Lat:    LatencyModel{FixedNs: int64(time.Microsecond)},
-		Drains: 4,
+		Lat: LatencyModel{FixedNs: int64(time.Microsecond)},
 	})
 	ref := NewLog()
 
@@ -142,39 +141,141 @@ func TestPipelineMatchesPerEntryLog(t *testing.T) {
 	}
 }
 
-// TestPipelinePerKeyFIFO checks that same-key persists drain in
-// enqueue order: the log's entries for one key must carry ascending
-// versions (the per-record ordering Fig 2 relies on; cross-key order
-// is deliberately unconstrained per §V-B.4).
-func TestPipelinePerKeyFIFO(t *testing.T) {
+// TestPipelineLogOrderIsEnqueueOrder pins the one-FIFO guarantee: with
+// entries for many keys interleaved, the log's Seq order is exactly the
+// enqueue order across all keys, not only per key.
+func TestPipelineLogOrderIsEnqueueOrder(t *testing.T) {
 	log := NewLog()
 	p := NewPipeline(log, PipelineConfig{
-		Lat:    LatencyModel{FixedNs: int64(50 * time.Microsecond)},
-		Drains: 2,
+		Lat: LatencyModel{FixedNs: int64(50 * time.Microsecond)},
 	})
-	const versions = 200
-	for v := 1; v <= versions; v++ {
-		if !p.Enqueue(7, ts(0, v), []byte{byte(v)}, 0, nil) {
-			t.Fatalf("enqueue v%d failed", v)
+	const total, keys = 200, 8
+	for i := 0; i < total; i++ {
+		if !p.Enqueue(ddp.Key(i%keys), ts(0, i/keys+1), []byte{byte(i), byte(i >> 8)}, 0, nil) {
+			t.Fatalf("enqueue %d failed", i)
 		}
 	}
-	// A final blocking persist flushes everything queued behind it.
-	if !p.Persist(7, ts(0, versions+1), nil, 0) {
+	// A final blocking persist flushes everything queued before it.
+	if !p.Persist(ddp.Key(total%keys), ts(0, total/keys+1), []byte{byte(total), byte(total >> 8)}, 0) {
 		t.Fatal("flush persist failed")
 	}
 	p.Close()
 
 	entries := log.EntriesSince(0)
-	if len(entries) != versions+1 {
-		t.Fatalf("log has %d entries, want %d", len(entries), versions+1)
+	if len(entries) != total+1 {
+		t.Fatalf("log has %d entries, want %d", len(entries), total+1)
 	}
-	last := ddp.Version(0)
-	for _, e := range entries {
-		if e.TS.Version <= last {
-			t.Fatalf("same-key entries out of order: version %d after %d (seq %d)",
-				e.TS.Version, last, e.Seq)
+	for i, e := range entries {
+		want := []byte{byte(i), byte(i >> 8)}
+		if e.Key != ddp.Key(i%keys) || e.TS != ts(0, i/keys+1) || string(e.Value) != string(want) {
+			t.Fatalf("log position %d (seq %d) holds key %d %v %v, want enqueue #%d: key %d %v %v",
+				i, e.Seq, e.Key, e.TS, e.Value, i, i%keys, ts(0, i/keys+1), want)
 		}
-		last = e.TS.Version
+	}
+}
+
+// TestPersistManySpansTwoBatches pins the scope flush on one FIFO: the
+// scope's earlier entry sits in a batch that is still draining, the
+// flush's entries accumulate in the next one, and PersistMany, which
+// waits on that next batch only, returns once both batches are in the
+// log — or false if Close comes first.
+func TestPersistManySpansTwoBatches(t *testing.T) {
+	for _, closeFirst := range []bool{false, true} {
+		name := "durable"
+		if closeFirst {
+			name = "closed"
+		}
+		t.Run(name, func(t *testing.T) {
+			log := NewLog()
+			var held atomic.Bool
+			draining, release := make(chan struct{}), make(chan struct{})
+			p := NewPipeline(log, PipelineConfig{
+				Lat: LatencyModel{FixedNs: int64(50 * time.Microsecond)},
+				// The first group commit parks in its hook: appended, but
+				// its generation not yet over, so it is still draining.
+				OnBatch: func([]ddp.Key, int) {
+					if held.CompareAndSwap(false, true) {
+						close(draining)
+						<-release
+					}
+				},
+			})
+			var once sync.Once
+			unblock := func() { once.Do(func() { close(release) }) }
+			defer p.Close()
+			defer unblock() // a failing test must not leave Close waiting on the hook
+
+			const sc = ddp.ScopeID(3)
+			if !p.Enqueue(1, ts(0, 1), []byte("a"), sc, nil) {
+				t.Fatal("enqueue failed on an open pipeline")
+			}
+			<-draining
+			done := make(chan bool, 1)
+			go func() {
+				done <- p.PersistMany([]Update{
+					{Key: 2, TS: ts(0, 1), Value: []byte("b"), Scope: sc},
+					{Key: 3, TS: ts(0, 1), Value: []byte("c"), Scope: sc},
+				})
+			}()
+			eventually(t, "flush accumulating behind the draining batch", func() bool {
+				p.q.mu.Lock()
+				defer p.q.mu.Unlock()
+				return len(p.q.cur.entries) == 2
+			})
+			select {
+			case <-done:
+				t.Fatal("PersistMany returned while its batch waited behind a draining one")
+			default:
+			}
+			if log.LocallyDurable(2, ts(0, 1)) {
+				t.Fatal("flush entry appended before the batch ahead of it completed")
+			}
+			if closeFirst {
+				go p.Close()
+				eventually(t, "Close started", p.closed.Load)
+			}
+			unblock()
+
+			var ok bool
+			select {
+			case ok = <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("PersistMany still blocked")
+			}
+			if closeFirst {
+				if ok {
+					t.Fatal("PersistMany reported durable after Close aborted its batch")
+				}
+				return
+			}
+			if !ok {
+				t.Fatal("PersistMany failed on an open pipeline")
+			}
+			entries := log.EntriesSince(0)
+			if len(entries) != 3 {
+				t.Fatalf("log has %d entries when PersistMany returned, want 3", len(entries))
+			}
+			for i, e := range entries {
+				if e.Key != ddp.Key(i+1) {
+					t.Fatalf("log position %d holds key %d, want %d", i, e.Key, i+1)
+				}
+			}
+			if got := p.Batches(); got != 2 {
+				t.Fatalf("%d batches, want 2", got)
+			}
+		})
+	}
+}
+
+// eventually polls cond until it holds, failing the test after 5 s.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(50 * time.Microsecond)
 	}
 }
 
@@ -184,8 +285,7 @@ func TestPipelinePerKeyFIFO(t *testing.T) {
 func TestPipelineCloseUnblocks(t *testing.T) {
 	log := NewLog()
 	p := NewPipeline(log, PipelineConfig{
-		Lat:    LatencyModel{FixedNs: (10 * time.Second).Nanoseconds()},
-		Drains: 1,
+		Lat: LatencyModel{FixedNs: (10 * time.Second).Nanoseconds()},
 	})
 	res := make(chan bool, 1)
 	go func() {
@@ -217,7 +317,7 @@ func TestPipelineCloseUnblocks(t *testing.T) {
 // synchronously — durable immediately after Enqueue, no worker handoff.
 func TestPipelineInlineFastPath(t *testing.T) {
 	log := NewLog()
-	p := NewPipeline(log, PipelineConfig{Drains: 4})
+	p := NewPipeline(log, PipelineConfig{})
 	defer p.Close()
 	ran := false
 	if !p.Enqueue(3, ts(0, 1), []byte("v"), 0, func() { ran = true }) {
@@ -254,8 +354,7 @@ func TestEnqueueAckDispatchesAfterDurable(t *testing.T) {
 	}
 	acks := make(chan ack, 16)
 	p := NewPipeline(log, PipelineConfig{
-		Lat:    LatencyModel{FixedNs: int64(time.Millisecond)},
-		Drains: 1,
+		Lat: LatencyModel{FixedNs: int64(time.Millisecond)},
 		OnAck: func(to ddp.NodeID, kind ddp.MsgKind, key ddp.Key, ts ddp.Timestamp, sc ddp.ScopeID) {
 			acks <- ack{to, kind, key, ts, log.LocallyDurable(key, ts)}
 		},
@@ -306,8 +405,7 @@ func TestEnqueueAckInline(t *testing.T) {
 func TestPipelineRecycledBuffersDoNotAlias(t *testing.T) {
 	log := NewLog()
 	p := NewPipeline(log, PipelineConfig{
-		Lat:    LatencyModel{FixedNs: int64(10 * time.Microsecond)},
-		Drains: 1,
+		Lat: LatencyModel{FixedNs: int64(10 * time.Microsecond)},
 	})
 	const rounds = 500
 	for v := 1; v <= rounds; v++ {
@@ -335,8 +433,7 @@ func TestPipelineRecycledBuffersDoNotAlias(t *testing.T) {
 // parks are counted, persists complete, and Close stays prompt.
 func TestPipelineTimerParkPath(t *testing.T) {
 	p := NewPipeline(NewLog(), PipelineConfig{
-		Lat:    LatencyModel{FixedNs: int64(200 * time.Microsecond)}, // > spinLatencyNs
-		Drains: 1,
+		Lat: LatencyModel{FixedNs: int64(200 * time.Microsecond)}, // > spinLatencyNs
 	})
 	for i := 0; i < 8; i++ {
 		if !p.Persist(ddp.Key(i), ts(0, 1), []byte("v"), 0) {
@@ -364,8 +461,7 @@ func TestPipelineTimerParkPath(t *testing.T) {
 // park on a runtime timer).
 func TestPipelineInstruments(t *testing.T) {
 	p := NewPipeline(NewLog(), PipelineConfig{
-		Lat:    LatencyModel{FixedNs: 1295}, // Table II device write: spin path
-		Drains: 2,
+		Lat: LatencyModel{FixedNs: 1295}, // Table II device write: spin path
 	})
 	defer p.Close()
 
