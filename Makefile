@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-bench flake race lint vet check bench bench-smoke bench-live bench-node bench-obs bench-offload bench-scale clean
+.PHONY: all build test test-bench flake race lint vet check bench bench-smoke live-smoke bench-scale clean
 
 all: build
 
@@ -56,29 +56,15 @@ check: lint test test-bench
 bench-smoke:
 	$(GO) run ./cmd/minos-bench -requests 400 -ablations -json BENCH_sweep.json > /dev/null
 
-# Live cluster over loopback TCP: all five models through the batched
-# wire path. Updates the "after.live" section of BENCH_live.json in
-# place (the committed before/after microbenchmark numbers are kept).
-bench-live:
-	$(GO) run ./cmd/minos-live -nodes 3 -workers 4 -requests 400 -tcp -json BENCH_live.json
-
-# Node write-path benchmarks: serial and parallel write
-# microbenchmarks per model over both the channel fabric ("mem") and
-# the shared-memory ring fabric ("ring", polled inline), plus livebench
-# Lin-Synch throughput runs, with the NVM delay off and at the paper's 1295 ns. Updates the
-# "after" section of BENCH_node.json in place (the committed "before"
-# baseline rows — fabric-less, i.e. mem — are kept). CI uploads the
-# result as the bench-node artifact.
-bench-node:
-	$(GO) run ./cmd/minos-benchnode -label after -json BENCH_node.json
-
-# MINOS-B vs MINOS-O: the same livebench cells with the soft-NIC
-# offload engine off ("before") and on ("after"), across both
-# in-process fabrics, uniform/zipfian/hot-churn key distributions, and
-# two persistency models (Lin-Synch, Lin-Strict). Writes both labels
-# of BENCH_offload.json in one run. CI uploads it as bench-offload.
-bench-offload:
-	$(GO) run ./cmd/minos-benchoffload -requests 1500 -json BENCH_offload.json
+# End-to-end check of minos-live's trace file and minos-trace reading
+# it: a short traced open-loop run of every model on a 3-node cluster
+# (minos-live exits 1 if any run errs or completes nothing), then the
+# per-phase breakdown of that file.
+live-smoke:
+	@trace=$$(mktemp) && \
+	$(GO) run ./cmd/minos-live -nodes 3 -rate 5000 -duration 300ms -trace $$trace && \
+	$(GO) run ./cmd/minos-trace $$trace; \
+	status=$$?; rm -f $$trace; exit $$status
 
 # Open-loop scale sweep: the coordinated-omission-safe load engine
 # drives 1M logical clients over 16 connections against a 5-node
@@ -88,13 +74,6 @@ bench-offload:
 # (one small ring cell); CI uploads the result as bench-scale.
 bench-scale:
 	$(GO) run ./cmd/minos-benchscale $(SCALE_FLAGS) -json BENCH_scale.json
-
-# Observability overhead: the serial write microbenchmark with tracing
-# off, sampled (1-in-8, the production default), and full, per model.
-# Fails if sampled tracing costs >= 5% on the no-delay write path.
-# Updates the "after" section of BENCH_obs.json in place.
-bench-obs:
-	$(GO) run ./cmd/minos-benchobs -label after -json BENCH_obs.json
 
 clean:
 	$(GO) clean ./...

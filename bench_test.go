@@ -9,11 +9,11 @@ package minos
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/minos-ddp/minos/internal/check"
 	"github.com/minos-ddp/minos/internal/ddp"
 	"github.com/minos-ddp/minos/internal/experiments"
-	"github.com/minos-ddp/minos/internal/livebench"
 	"github.com/minos-ddp/minos/internal/loadgen"
 	"github.com/minos-ddp/minos/internal/node"
 	"github.com/minos-ddp/minos/internal/simcluster"
@@ -224,19 +224,25 @@ func BenchmarkAblations(b *testing.B) {
 }
 
 // BenchmarkLiveModels measures the live runtime across all models — the
-// §IV counterpart on real goroutines.
+// §IV counterpart on real goroutines: one open-loop run per model
+// through the client frontend, reporting the intended-time write p50.
 func BenchmarkLiveModels(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results, err := livebench.RunAllModels(livebench.Config{
-			Cluster: loadgen.Cluster{Nodes: 3},
-			Load:    livebench.Load{WorkersPerNode: 2, RequestsPerNode: 200, Seed: 7},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			for _, r := range results {
-				b.ReportMetric(r.WriteLat.Mean(), r.Model.String()+"_wr_ns")
+		for _, m := range ddp.Models {
+			wl := workload.Default()
+			wl.ValueSize = 128
+			if m == ddp.LinScope {
+				wl.PersistEvery = 8
+			}
+			res, err := loadgen.Run(loadgen.Config{
+				Cluster: loadgen.Cluster{Nodes: 3, Model: m},
+				Load:    loadgen.Load{Rate: 10000, Duration: 200 * time.Millisecond, Workload: wl, Seed: 7},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if i == b.N-1 {
+				b.ReportMetric(res.IntendedWrite.P50Ns, m.String()+"_wr_p50_ns")
 			}
 		}
 	}

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	minos-live -trace TRACE.json -requests 2000
+//	minos-live -trace TRACE.json -duration 2s
 //	minos-trace TRACE.json
 //	minos-trace -role follower TRACE.json
 //

@@ -11,9 +11,9 @@ import (
 )
 
 // LiveCluster is a running MINOS cluster plus (optionally) client
-// endpoints wired to it. Both loadgen's open loop and livebench's
-// closed loop run on top of it; livebench simply asks for zero client
-// connections and calls the nodes directly.
+// endpoints wired to it. Run drives it through the client endpoints;
+// a caller that asks for zero client connections calls the nodes
+// directly instead.
 type LiveCluster struct {
 	Nodes []*node.Node
 	// Eps holds one transport endpoint per node, indexed by NodeID.
@@ -52,7 +52,6 @@ func StartCluster(cl Cluster, ob Observe, off Offload, clientConns int) (*LiveCl
 			if cfg.ClientWindow <= 0 {
 				cfg.ClientWindow = 1024
 			}
-			cfg.ClientWorkers = cl.ClientWorkers
 		}
 		if off.Enabled {
 			cfg.Offload = off.Config

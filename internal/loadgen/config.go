@@ -1,10 +1,11 @@
 // Package loadgen is the open-loop, coordinated-omission-safe load
-// engine for the live MINOS cluster. Where livebench's closed loop asks
-// "how fast can N workers pump requests back-to-back?", loadgen asks
-// the question the paper's §IV throughput/latency curves need answered:
-// "at an offered arrival rate of R ops/s, what latency do clients
-// *experience*?" — with lateness charged against the intended arrival
-// time, never hidden by a stalled client skipping its sends.
+// engine for the live MINOS cluster: minos-live and minos-benchscale
+// run on it, and the benchmark shares its cluster bring-up
+// (StartCluster) and arrival schedules. It asks the question the
+// paper's §IV throughput/latency curves need answered: "at an offered
+// arrival rate of R ops/s, what latency do clients *experience*?" —
+// with lateness charged against the intended arrival time, never
+// hidden by a stalled client skipping its sends.
 //
 // The engine multiplexes many logical clients (millions) over few
 // transport connections; each connection runs a bounded in-flight
@@ -21,9 +22,7 @@ import (
 	"github.com/minos-ddp/minos/internal/workload"
 )
 
-// Cluster groups the knobs that shape the system under test. It is
-// shared verbatim with livebench: both harnesses bring up the same
-// cluster, they differ only in how they drive it.
+// Cluster groups the knobs that shape the system under test.
 type Cluster struct {
 	// Nodes is the cluster size (default 5, Table II).
 	Nodes int
@@ -40,9 +39,6 @@ type Cluster struct {
 	// requests beyond it are shed with StatusShed. Zero picks the
 	// loadgen default (1024) when client connections exist.
 	ClientWindow int
-	// ClientWorkers sizes each node's client-frontend worker pool
-	// (0 = node default).
-	ClientWorkers int
 }
 
 func (c Cluster) withDefaults() Cluster {

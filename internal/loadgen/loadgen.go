@@ -311,8 +311,7 @@ func (e *engine) dispatcher(c *conn) {
 		case workload.OpPersist:
 			if !scoped {
 				// Non-scoped models persist every write inline; the
-				// workload's persist beats are vacuous for them, as in
-				// the closed-loop harness.
+				// workload's persist beats are vacuous for them.
 				continue
 			}
 			kind, cop = slotPersist, transport.OpClientPersist

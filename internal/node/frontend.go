@@ -50,9 +50,12 @@ func newFrontend(n *Node, window int) *frontend {
 	}
 }
 
+// clientWorkers sizes each node's frontend worker pool.
+const clientWorkers = 8
+
 // start launches the worker pool on the node's WaitGroup.
-func (fe *frontend) start(workers int) {
-	for w := 0; w < workers; w++ {
+func (fe *frontend) start() {
+	for w := 0; w < clientWorkers; w++ {
 		fe.n.wg.Add(1)
 		go fe.worker()
 	}

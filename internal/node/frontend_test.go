@@ -16,7 +16,7 @@ func newClientCluster(t *testing.T, n int, model ddp.Model, mutate func(*Config)
 	net := transport.NewMemNetworkClients(n, 1)
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
-		cfg := Config{Model: model, ClientWindow: 256, ClientWorkers: 4}
+		cfg := Config{Model: model, ClientWindow: 256}
 		if mutate != nil {
 			mutate(&cfg)
 		}
@@ -81,10 +81,12 @@ func TestClientFrontendWriteReadPersist(t *testing.T) {
 // TestClientFrontendSheds pins the admission contract: a full window
 // answers StatusShed immediately instead of queueing unboundedly, and
 // every admitted request is still answered — offered equals responses.
+// With a window of 2, at most clientWorkers+2 = 10 of the 64 burst
+// writes are in flight or queued while each holds a 2 ms persist, so the
+// burst must shed.
 func TestClientFrontendSheds(t *testing.T) {
 	_, client := newClientCluster(t, 3, ddp.LinSynch, func(c *Config) {
 		c.ClientWindow = 2
-		c.ClientWorkers = 1
 		c.PersistDelay = 2 * time.Millisecond
 	})
 
@@ -131,7 +133,7 @@ func TestClientFrontendOverRingRTC(t *testing.T) {
 	cluster := make([]*Node, nodes)
 	for i := 0; i < nodes; i++ {
 		cluster[i] = New(Config{
-			Model: ddp.LinSynch, ClientWindow: 64, ClientWorkers: 2,
+			Model: ddp.LinSynch, ClientWindow: 64,
 		}, net.Endpoint(ddp.NodeID(i)))
 		cluster[i].Start()
 	}

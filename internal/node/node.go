@@ -49,13 +49,11 @@ type Config struct {
 	Tracer *obs.Tracer
 	// ClientWindow, when positive, enables the remote-client frontend:
 	// FrameClientRequest frames are admitted into a bounded queue of
-	// this depth and executed by a worker pool; requests arriving with
-	// the queue full are shed with an explicit StatusShed response.
-	// Zero disables the frontend (client frames are answered StatusErr).
+	// this depth and executed by a pool of clientWorkers goroutines;
+	// requests arriving with the queue full are shed with an explicit
+	// StatusShed response. Zero disables the frontend (client frames are
+	// answered StatusErr).
 	ClientWindow int
-	// ClientWorkers sizes the frontend's worker pool; default 8. Only
-	// meaningful with ClientWindow > 0.
-	ClientWorkers int
 	// Offload, when non-nil, enables the soft-NIC offload engine
 	// (MINOS-O): protocol messages for keys the adaptive policy deems
 	// hot are handled on the engine's core pool instead of the delivery
@@ -292,10 +290,6 @@ func New(cfg Config, tr transport.Transport) *Node {
 		OnAck:    n.sendDurableAck,
 	})
 	if cfg.ClientWindow > 0 {
-		if cfg.ClientWorkers <= 0 {
-			cfg.ClientWorkers = 8
-			n.cfg.ClientWorkers = 8
-		}
 		n.fe = newFrontend(n, cfg.ClientWindow)
 	}
 	if cfg.Offload != nil {
@@ -361,7 +355,7 @@ func (n *Node) Start() {
 		go n.valFlushLoop()
 	}
 	if n.fe != nil {
-		n.fe.start(n.cfg.ClientWorkers)
+		n.fe.start()
 	}
 	if n.off != nil {
 		n.off.Start()

@@ -95,9 +95,10 @@ func (h *eventHeap) Pop() interface{} {
 	return ev
 }
 
-// Stats are the kernel's execution counters, for perf-regression
-// visibility (surfaced per run in simcluster.Metrics.Kernel).
-type Stats struct {
+// kernelStats are the kernel's execution counters, for perf-regression
+// visibility (Collect surfaces them per run in
+// simcluster.Metrics.Kernel).
+type kernelStats struct {
 	// Executed counts dispatched events (callbacks plus process resumes);
 	// stale wake-ups are not dispatched and not counted.
 	Executed uint64
@@ -138,7 +139,7 @@ type Kernel struct {
 	// stale counts wake-up events still pending whose process has already
 	// resumed or exited; compact evicts them when they dominate the heap.
 	stale int
-	stats Stats
+	stats kernelStats
 }
 
 // NewKernel returns a kernel at time zero whose random source is seeded
@@ -160,13 +161,6 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // Events reports how many events the kernel has executed.
 func (k *Kernel) Events() uint64 { return k.stats.Executed }
-
-// Stats returns the kernel's execution counters so far.
-//
-// Deprecated: collect the kernel into an obs.Snapshot instead (the
-// kernel implements obs.Source); the struct form remains for callers
-// that want raw fields.
-func (k *Kernel) Stats() Stats { return k.stats }
 
 // Describe implements obs.Source.
 func (k *Kernel) Describe() string { return "sim.kernel" }

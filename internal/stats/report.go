@@ -6,13 +6,10 @@ import (
 	"github.com/minos-ddp/minos/internal/obs"
 )
 
-// Report is the one percentile-report shape every BENCH_*.json writer
-// emits. Before it, each cmd hand-rolled its own row fields (avg/p99
-// pairs with drifting names); now a latency distribution serializes the
-// same way whether it came from a raw Sampler (closed-loop
-// microbenchmarks) or from merged obs histogram buckets (the open-loop
-// scale harness, where retaining per-op samples at millions of ops is
-// off the table). All values are nanoseconds.
+// Report is the one percentile-report shape: loadgen.Result's latency
+// views and the rows of BENCH_scale.json. It is built from merged obs
+// histogram buckets, because retaining per-op samples at millions of
+// ops is off the table. All values are nanoseconds.
 type Report struct {
 	Count  int64   `json:"count"`
 	MeanNs float64 `json:"mean_ns"`
@@ -21,19 +18,6 @@ type Report struct {
 	P99Ns  float64 `json:"p99_ns"`
 	P999Ns float64 `json:"p999_ns"`
 	P9999  float64 `json:"p9999_ns"`
-}
-
-// ReportFromSampler summarizes a raw sample set.
-func ReportFromSampler(s *Sampler) Report {
-	return Report{
-		Count:  int64(s.N()),
-		MeanNs: s.Mean(),
-		P50Ns:  s.Percentile(50),
-		P90Ns:  s.Percentile(90),
-		P99Ns:  s.Percentile(99),
-		P999Ns: s.Percentile(99.9),
-		P9999:  s.Percentile(99.99),
-	}
 }
 
 // ReportFromHistogram summarizes an obs histogram snapshot; quantiles

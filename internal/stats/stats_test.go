@@ -144,22 +144,21 @@ func TestReportFromSamplerAndHistogramAgree(t *testing.T) {
 		s.Add(float64(v))
 		h.Observe(v)
 	}
-	rs := ReportFromSampler(&s)
 	rh := ReportFromHistogram(h.Point("lat"))
-	if rs.Count != 20000 || rh.Count != 20000 {
-		t.Fatalf("counts = %d/%d, want 20000", rs.Count, rh.Count)
+	if s.N() != 20000 || rh.Count != 20000 {
+		t.Fatalf("counts = %d/%d, want 20000", s.N(), rh.Count)
 	}
 	check := func(name string, exact, est float64) {
 		if est < exact*0.85 || est > exact*1.15 {
 			t.Errorf("%s: histogram estimate %.0f vs sampler %.0f (>15%% apart)", name, est, exact)
 		}
 	}
-	check("p50", rs.P50Ns, rh.P50Ns)
-	check("p90", rs.P90Ns, rh.P90Ns)
-	check("p99", rs.P99Ns, rh.P99Ns)
-	check("p999", rs.P999Ns, rh.P999Ns)
-	check("p9999", rs.P9999, rh.P9999)
-	if math.Abs(rs.MeanNs-rh.MeanNs) > 1 {
-		t.Errorf("means diverge: %v vs %v", rs.MeanNs, rh.MeanNs)
+	check("p50", s.Percentile(50), rh.P50Ns)
+	check("p90", s.Percentile(90), rh.P90Ns)
+	check("p99", s.Percentile(99), rh.P99Ns)
+	check("p999", s.Percentile(99.9), rh.P999Ns)
+	check("p9999", s.Percentile(99.99), rh.P9999)
+	if math.Abs(s.Mean()-rh.MeanNs) > 1 {
+		t.Errorf("means diverge: %v vs %v", s.Mean(), rh.MeanNs)
 	}
 }
