@@ -95,14 +95,13 @@ const (
 // (slot arrays plus a free-list channel), and the id range of the
 // logical clients it multiplexes.
 type conn struct {
-	ep       transport.Transport
-	sched    *Schedule
-	gen      *workload.Generator
-	pick     splitmix64 // logical-client picker
-	clients  int        // logical clients on this connection
-	base     int        // first logical client id
-	nodes    int
-	syncSend bool
+	ep      transport.Transport
+	sched   *Schedule
+	gen     *workload.Generator
+	pick    splitmix64 // logical-client picker
+	clients int        // logical clients on this connection
+	base    int        // first logical client id
+	nodes   int
 
 	free     chan int
 	intended []int64
@@ -181,7 +180,6 @@ func Run(cfg Config) (*Result, error) {
 			sent:     make([]int64, cfg.Load.Window),
 			kind:     make([]uint8, cfg.Load.Window),
 		}
-		_, c.syncSend = c.ep.(transport.SyncEncoder)
 		for s := 0; s < cfg.Load.Window; s++ {
 			c.free <- s
 		}
@@ -344,15 +342,9 @@ func (e *engine) dispatcher(c *conn) {
 
 		req := transport.ClientRequest{Op: cop, Key: ddp.Key(op.Key)}
 		if cop == transport.OpClientWrite {
-			if c.syncSend {
-				// Ring and TCP encode before Send returns; the buffer
-				// can be reused across sends.
-				req.Value = value
-			} else {
-				// The mem fabric passes the frame by reference to the
-				// node; the value must be uniquely owned.
-				req.Value = append([]byte(nil), value...)
-			}
+			// Send is done with the bytes when it returns; the buffer
+			// is reused across sends.
+			req.Value = value
 		}
 		c.intended[slot] = at
 		c.sent[slot] = time.Since(e.start).Nanoseconds()

@@ -2,9 +2,11 @@ package node_test
 
 import (
 	"testing"
+	"time"
 
 	"github.com/minos-ddp/minos/internal/ddp"
 	"github.com/minos-ddp/minos/internal/node"
+	"github.com/minos-ddp/minos/internal/obs"
 	"github.com/minos-ddp/minos/internal/simcluster"
 	"github.com/minos-ddp/minos/internal/transport"
 	"github.com/minos-ddp/minos/internal/workload"
@@ -15,7 +17,9 @@ import (
 // protocol does the same amount of work in both: every write persists
 // once per node under the eager models, and every follower handles
 // exactly one INV per write. Divergence would mean the two
-// implementations execute different protocols.
+// implementations execute different protocols. The live counts are read
+// at quiescence (awaitDurable): Lin-REnf returns before durability, so
+// its persists are still draining when the last Write returns.
 func TestRuntimesAgreeOnProtocolCounts(t *testing.T) {
 	const nodes, writes = 3, 40
 	for _, model := range []ddp.Model{ddp.LinSynch, ddp.LinStrict, ddp.LinREnf} {
@@ -33,6 +37,7 @@ func TestRuntimesAgreeOnProtocolCounts(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			awaitDurable(t, live, writes)
 			var livePersists, liveInvs int64
 			for _, nd := range live {
 				livePersists += nd.Stats.Persists.Load()
@@ -73,5 +78,39 @@ func TestRuntimesAgreeOnProtocolCounts(t *testing.T) {
 				t.Errorf("sim writes = %d, want %d", got, writes*nodes)
 			}
 		})
+	}
+}
+
+// awaitDurable waits, with a bounded deadline, until the writer (node 0)
+// has published glb_durableTS for keys 0..writes-1 — every follower's
+// durable ack is in, so Lin-REnf's background halves have finished — and
+// every node's persist pipeline is empty, its batch hooks (the Persists
+// counter among them) all run.
+func awaitDurable(t *testing.T, nodes []*node.Node, writes int) {
+	t.Helper()
+	quiet := func() bool {
+		for i := 0; i < writes; i++ {
+			r := nodes[0].Store().Get(ddp.Key(i))
+			if r == nil {
+				return false
+			}
+			r.Lock()
+			durable := r.Meta.GlbDurableTS.Version > 0
+			r.Unlock()
+			if !durable {
+				return false
+			}
+		}
+		for _, nd := range nodes {
+			if obs.Collect(nd.Pipeline()).GaugeValue("nvm.pipeline.pending") != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(5 * time.Second); !quiet(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("cluster not quiescent 5s after the last write")
+		}
 	}
 }

@@ -124,14 +124,11 @@ func (fe *frontend) worker() {
 				v, err := n.ReadInto(req.key, readBuf)
 				if err != nil {
 					resp.Status = transport.StatusErr
-				} else if n.syncSend {
-					// Synchronous encoders finish with the bytes before
-					// Send returns; the worker's buffer can be aliased
-					// and recycled.
+				} else {
+					// Send is done with the value bytes when it returns;
+					// the worker's buffer can be aliased and recycled.
 					readBuf = v[:0]
 					resp.Value = v
-				} else {
-					resp.Value = append([]byte(nil), v...)
 				}
 			case transport.OpClientWrite:
 				if err := n.WriteScoped(req.key, req.value, scope); err != nil {

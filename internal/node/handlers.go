@@ -44,13 +44,13 @@ func (n *Node) handleInv(m ddp.Message) {
 	}
 	switch n.policy.FollowerPersist {
 	case ddp.PersistBeforeAck: // Synch: persist (L39), combined ACK (L40)
-		n.persistThenAck(m, ddp.KindAck)
-	case ddp.PersistAfterAckC: // Strict, REnf
+		n.persistThenAck(m)
+	case ddp.PersistAfterAckC: // Strict, REnf: ACK_C, then persist and ACK_P
 		n.sendAck(m, ddp.KindAckC)
-		n.persistThenAck(m, ddp.KindAckP)
+		n.persistThenAck(m)
 	case ddp.PersistBackground: // Event
 		n.sendAck(m, ddp.KindAckC)
-		n.pipe.Enqueue(m.Key, m.TS, m.Value, m.Scope, nil)
+		n.pipe.Enqueue(m.Key, m.TS, m.Value, m.Scope)
 	case ddp.PersistOnScopeFlush: // Scope
 		n.bufferScope(m.Scope, m.Key, m.TS, m.Value)
 		n.sendAck(m, ddp.KindAckC)

@@ -33,8 +33,8 @@ type Config struct {
 	// PersistDelay emulates the NVM write latency charged before a
 	// persist is considered durable (the paper emulates 1295ns/KB).
 	// The delay is charged once per group commit of the node's one
-	// dFIFO, not once per entry — the batching of §V-B.4. Zero persists
-	// instantly.
+	// dFIFO, not once per entry — the batching of §V-B.4. Zero charges
+	// nothing; persists still drain in group commits.
 	PersistDelay time.Duration
 	// HeartbeatEvery and FailAfter drive the failure detector: a peer
 	// silent for FailAfter is declared failed and writes stop waiting
@@ -110,13 +110,6 @@ func (n *Node) getWriteTxn(key ddp.Key, ts ddp.Timestamp, followers []ddp.NodeID
 	return wt
 }
 
-// scopeEntry is a deferred persist under <Lin, Scope>.
-type scopeEntry struct {
-	key   ddp.Key
-	ts    ddp.Timestamp
-	value []byte
-}
-
 // scopePersist tracks one [PERSIST]sc at its coordinator.
 type scopePersist struct {
 	mu        sync.Mutex
@@ -154,6 +147,11 @@ type Node struct {
 	id     ddp.NodeID
 	tr     transport.Transport
 
+	// durableAck is the kind a follower acknowledges a persisted INV
+	// with (Fig 2 L40): the combined ACK under Synch, ACK_P under the
+	// split-ack models.
+	durableAck ddp.MsgKind
+
 	// peers is the transport's sorted peer list, snapshotted once at
 	// construction so the hot paths never re-derive it.
 	peers   []ddp.NodeID
@@ -173,15 +171,12 @@ type Node struct {
 	// poller is non-nil when the transport polls inline: frames then
 	// arrive on whichever goroutine holds its poll token (borrowing
 	// transport storage) instead of on recvLoop, and a coordinator
-	// waiting for acknowledgments drives the poll itself. syncSend is
-	// true when the transport finishes encoding before Send/Broadcast
-	// return, letting the write path skip its defensive value copy.
-	poller   transport.InlinePoller
-	syncSend bool
+	// waiting for acknowledgments drives the poll itself.
+	poller transport.InlinePoller
 
 	// vals coalesces release-side VAL broadcasts from back-to-back
-	// commits (valbatch.go); non-nil only over an inline-polling,
-	// synchronously encoding transport.
+	// commits (valbatch.go); non-nil only over an inline-polling
+	// transport.
 	vals *valStage
 
 	// detecting is true when the failure detector is configured; with it
@@ -191,7 +186,7 @@ type Node struct {
 	txns [txnStripeCount]*txnStripe
 
 	scopeMu   sync.Mutex // guards scopeBuf, scopeWait
-	scopeBuf  map[ddp.ScopeID][]scopeEntry
+	scopeBuf  map[ddp.ScopeID][]nvm.Update
 	scopeWait map[ddp.ScopeID]*scopePersist
 
 	live     atomic.Pointer[liveView]
@@ -243,16 +238,19 @@ func New(cfg Config, tr transport.Transport) *Node {
 		peers:     tr.Peers(),
 		store:     kv.NewStore(cfg.Shards),
 		log:       nvm.NewLog(),
-		scopeBuf:  make(map[ddp.ScopeID][]scopeEntry),
+		scopeBuf:  make(map[ddp.ScopeID][]nvm.Update),
 		scopeWait: make(map[ddp.ScopeID]*scopePersist),
 		stop:      make(chan struct{}),
 	}
 	for i := range n.txns {
 		n.txns[i] = &txnStripe{pending: make(map[txnKey]*writeTxn)}
 	}
+	n.durableAck = ddp.KindAck
+	if n.policy.SeparateAcks {
+		n.durableAck = ddp.KindAckP
+	}
 	n.poller, _ = tr.(transport.InlinePoller)
-	_, n.syncSend = tr.(transport.SyncEncoder)
-	if n.poller != nil && n.syncSend {
+	if n.poller != nil {
 		n.vals = &valStage{}
 	}
 	n.detecting = cfg.HeartbeatEvery > 0 && cfg.FailAfter > 0
@@ -284,10 +282,9 @@ func New(cfg Config, tr transport.Transport) *Node {
 		// PersistDelay is a flat per-device-write cost, matching the
 		// pre-pipeline semantics where every persist charged the full
 		// delay; group commit amortizes it across a drained batch.
-		Lat:      nvm.LatencyModel{FixedNs: cfg.PersistDelay.Nanoseconds()},
-		OnBatch:  n.onPersistBatch,
-		OnInline: n.onPersistInline,
-		OnAck:    n.sendDurableAck,
+		Lat:     nvm.LatencyModel{FixedNs: cfg.PersistDelay.Nanoseconds()},
+		OnBatch: n.onPersistBatch,
+		OnAck:   n.sendDurableAck,
 	})
 	if cfg.ClientWindow > 0 {
 		n.fe = newFrontend(n, cfg.ClientWindow)
@@ -594,81 +591,58 @@ func (n *Node) removePending(key ddp.Key, ts ddp.Timestamp) {
 	}
 }
 
-// persistThenAck makes the INV's update durable and then sends kind to
-// its coordinator — the follower's persist-before-ack step (Fig 2
-// L39-40) — without parking the caller for the NVM latency. It runs
-// the same on the delivery goroutine and on a soft-NIC core: both enqueue
-// into the one pipeline, whose single FIFO keeps the node's persists
-// (and so its acks) in enqueue order. Every branch orders the
-// acknowledgment strictly after the log append:
-//
-//   - a sampled transaction pays for a continuation closure, which is
-//     what lets it wrap the acknowledgment in trace spans;
-//   - a zero-latency pipeline appends synchronously inside Enqueue, so
-//     the acknowledgment follows directly;
-//   - otherwise the pipeline's ack fields carry it (EnqueueAck →
-//     sendDurableAck on the drain engine), allocating nothing.
+// persistThenAck makes the INV's update durable and then sends the
+// node's durable acknowledgment to its coordinator — the follower's
+// persist-before-ack step (Fig 2 L39-40) — without parking the caller
+// for the NVM latency. It runs the same on the delivery goroutine and
+// on a soft-NIC core: both enqueue into the one pipeline, whose single
+// FIFO keeps the node's persists (and so its acks) in enqueue order.
+// The pipeline's ack fields carry the acknowledgment (EnqueueAck →
+// sendDurableAck on the drain engine, strictly after the group
+// commit), allocating nothing; a sampled transaction also carries its
+// trace start stamp there.
 //
 //minos:hotpath
-func (n *Node) persistThenAck(m ddp.Message, kind ddp.MsgKind) {
-	to, key, ts, sc := m.From, m.Key, m.TS, m.Scope
+func (n *Node) persistThenAck(m ddp.Message) {
 	// Followers have no coordinator transaction sequence; the sampling
 	// decision hashes the issued version instead, so a sampled run pays
 	// the follower-side clock reads at the same 1-in-N rate.
-	switch {
-	case n.tracer.Enabled() && n.tracer.SampleTxn(uint64(ts.Version)):
-		start := n.tracer.Now()
-		//minos:allow hotpathalloc -- only a sampled transaction pays for the continuation closure
-		n.pipe.Enqueue(key, ts, m.Value, sc, func() {
-			// The follower's durability wait and the acknowledgment that
-			// follows it, as two chained spans: the persist (group_commit)
-			// span always closes before the ack (val) span opens, which the
-			// trace ordering tests pin as the persist-before-ack invariant.
-			// Followers have no transaction id; spans correlate by (Key, Ver).
-			ackStart := n.tracer.Now()
-			n.tracer.Record(obs.Span{
-				Key: uint64(key), Ver: int64(ts.Version), Node: int32(n.id),
-				Role: obs.RoleFollower, Phase: obs.PhaseGroupCommit,
-				Start: start, End: ackStart,
-			})
-			n.sendDurableAck(to, kind, key, ts, sc)
-			n.tracer.Record(obs.Span{
-				Key: uint64(key), Ver: int64(ts.Version), Node: int32(n.id),
-				Role: obs.RoleFollower, Phase: obs.PhaseVal,
-				Start: ackStart, End: n.tracer.Now(),
-			})
-		})
-	case n.pipe.Inline():
-		if n.pipe.Enqueue(key, ts, m.Value, sc, nil) {
-			n.sendDurableAck(to, kind, key, ts, sc)
-		}
-	default:
-		n.pipe.EnqueueAck(key, ts, m.Value, sc, to, kind)
+	var stamp int64
+	if n.tracer.Enabled() && n.tracer.SampleTxn(uint64(m.TS.Version)) {
+		stamp = n.tracer.Now()
 	}
+	n.pipe.EnqueueAck(m.Key, m.TS, m.Value, m.Scope, m.From, n.durableAck, stamp)
 }
 
-// sendDurableAck ships a durable acknowledgment. It is also the
-// pipeline's OnAck hook, where it runs on the drain engine strictly
-// after the EnqueueAck entry's group commit, so the persist-before-ack
-// order holds with no per-entry closure.
+// sendDurableAck ships a durable acknowledgment. It is the pipeline's
+// OnAck hook: it runs on the drain engine strictly after the
+// EnqueueAck entry's group commit, so the persist-before-ack order
+// holds with no per-entry closure. A non-zero stamp is the trace start
+// taken at enqueue; the follower's durability wait and the ack that
+// follows it are then recorded as two chained spans — the persist
+// (group_commit) span closes before the ack (val) span opens, which the
+// trace ordering tests pin as the persist-before-ack invariant.
+// Followers have no transaction id; spans correlate by (Key, Ver).
 //
 //minos:hotpath
-func (n *Node) sendDurableAck(to ddp.NodeID, kind ddp.MsgKind, key ddp.Key, ts ddp.Timestamp, sc ddp.ScopeID) {
-	n.send(to, ddp.Message{Kind: kind, Key: key, TS: ts, Scope: sc, Size: ddp.ControlSize()})
-}
-
-// persistMany flushes a scope's buffered entries as one pipelined
-// group, blocking until all of them are durable; false means the node
-// closed first.
-func (n *Node) persistMany(entries []scopeEntry, sc ddp.ScopeID) bool {
-	if len(entries) == 0 {
-		return true
+func (n *Node) sendDurableAck(to ddp.NodeID, kind ddp.MsgKind, key ddp.Key, ts ddp.Timestamp, sc ddp.ScopeID, stamp int64) {
+	ack := ddp.Message{Kind: kind, Key: key, TS: ts, Scope: sc, Size: ddp.ControlSize()}
+	if stamp == 0 {
+		n.send(to, ack)
+		return
 	}
-	ups := make([]nvm.Update, len(entries))
-	for i, e := range entries {
-		ups[i] = nvm.Update{Key: e.key, TS: e.ts, Value: e.value, Scope: sc}
-	}
-	return n.pipe.PersistMany(ups)
+	ackStart := n.tracer.Now()
+	n.tracer.Record(obs.Span{
+		Key: uint64(key), Ver: int64(ts.Version), Node: int32(n.id),
+		Role: obs.RoleFollower, Phase: obs.PhaseGroupCommit,
+		Start: stamp, End: ackStart,
+	})
+	n.send(to, ack)
+	n.tracer.Record(obs.Span{
+		Key: uint64(key), Ver: int64(ts.Version), Node: int32(n.id),
+		Role: obs.RoleFollower, Phase: obs.PhaseVal,
+		Start: ackStart, End: n.tracer.Now(),
+	})
 }
 
 // onPersistBatch runs on the drain engine after each group commit: it
@@ -683,19 +657,6 @@ func (n *Node) onPersistBatch(keys []ddp.Key, entries int) {
 			r.Wake()
 			r.Unlock()
 		}
-	}
-}
-
-// onPersistInline is onPersistBatch for the pipeline's synchronous
-// single-entry append path: same counter, same record wake, no slice.
-//
-//minos:hotpath
-func (n *Node) onPersistInline(key ddp.Key) {
-	n.Stats.Persists.Add(1)
-	if r := n.store.Get(key); r != nil {
-		r.Lock()
-		r.Wake()
-		r.Unlock()
 	}
 }
 

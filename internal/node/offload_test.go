@@ -275,9 +275,9 @@ func TestOffloadTracePhases(t *testing.T) {
 // acknowledgments must come back in timestamp order across every
 // ownership transfer — no INV dropped, none reordered, none spuriously
 // obsolete — which is the per-record-FIFO half of the D13 equivalence
-// argument exercised end to end, on both persist paths (persistDelays):
-// with a queued pipeline, a host-path ack after a demotion must not
-// overtake a NIC-path ack still waiting for its group commit.
+// argument exercised end to end, at both device charges (persistDelays):
+// a host-path ack after a demotion must not overtake a NIC-path ack
+// still waiting for its group commit.
 func TestOffloadOverflowDemotesEndToEnd(t *testing.T) {
 	for _, pd := range persistDelays {
 		t.Run(pd.name, func(t *testing.T) { overflowDemotesEndToEnd(t, pd.delay) })

@@ -25,9 +25,9 @@ func TestKeyAffineOrdering(t *testing.T) {
 // first INVs run on the delivery goroutine, the key is promoted, and
 // the rest run on a NIC core. Promotion is unfenced — it relies on the
 // delivery goroutine having run every earlier message to completion —
-// so the acknowledgments must still come back in exact version order,
-// both with the inline append (no delay) and through the queued
-// group-commit pipeline both sides share (persistDelays).
+// so the acknowledgments must still come back in exact version order
+// through the group-commit pipeline both sides share, with and without
+// a modeled device delay (persistDelays).
 func TestKeyAffineOrderingAcrossPromotion(t *testing.T) {
 	for _, pd := range persistDelays {
 		t.Run(pd.name, func(t *testing.T) {
@@ -45,9 +45,10 @@ func TestKeyAffineOrderingAcrossPromotion(t *testing.T) {
 	}
 }
 
-// persistDelays are the two persist paths the offload ordering tests
-// cross: a zero delay appends inline on the handling goroutine, a
-// non-zero one queues into the pipeline and acks from its drain engine.
+// persistDelays are the two device charges the offload ordering tests
+// cross. Both queue into the pipeline and ack from its drain engine:
+// at zero delay ("inline") nothing but the drain hop separates enqueue
+// from append; 20 µs lets entries coalesce into group commits.
 var persistDelays = []struct {
 	name  string
 	delay time.Duration

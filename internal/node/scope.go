@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"github.com/minos-ddp/minos/internal/ddp"
+	"github.com/minos-ddp/minos/internal/nvm"
 )
 
 // NewScope allocates a cluster-unique scope identifier for <Lin, Scope>
@@ -15,13 +16,13 @@ func (n *Node) NewScope() ddp.ScopeID {
 // bufferScope defers a persist until the scope's [PERSIST]sc.
 func (n *Node) bufferScope(sc ddp.ScopeID, key ddp.Key, ts ddp.Timestamp, value []byte) {
 	n.scopeMu.Lock()
-	n.scopeBuf[sc] = append(n.scopeBuf[sc], scopeEntry{
-		key: key, ts: ts, value: append([]byte(nil), value...),
+	n.scopeBuf[sc] = append(n.scopeBuf[sc], nvm.Update{
+		Key: key, TS: ts, Value: append([]byte(nil), value...), Scope: sc,
 	})
 	n.scopeMu.Unlock()
 }
 
-func (n *Node) takeScope(sc ddp.ScopeID) []scopeEntry {
+func (n *Node) takeScope(sc ddp.ScopeID) []nvm.Update {
 	n.scopeMu.Lock()
 	defer n.scopeMu.Unlock()
 	return n.scopeBuf[sc]
@@ -66,7 +67,7 @@ func (n *Node) Persist(sc ddp.ScopeID) error {
 	// Persist this node's buffered writes for the scope as one
 	// pipelined group commit.
 	entries := n.takeScope(sc)
-	if !n.persistMany(entries, sc) {
+	if !n.pipe.PersistMany(entries) {
 		return ErrClosed
 	}
 
@@ -93,9 +94,9 @@ func (n *Node) Persist(sc ddp.ScopeID) error {
 
 	// Every node persisted the scope: publish durability locally.
 	for _, e := range entries {
-		r := n.store.GetOrCreate(e.key)
+		r := n.store.GetOrCreate(e.Key)
 		r.Lock()
-		r.Meta.AdvanceGlbDurable(e.ts)
+		r.Meta.AdvanceGlbDurable(e.TS)
 		r.Wake()
 		r.Unlock()
 	}
@@ -111,7 +112,7 @@ func (n *Node) Persist(sc ddp.ScopeID) error {
 // Entries stay buffered until [VAL_P]sc publishes their glb_durableTS.
 // A node that closes mid-flush sends no acknowledgment.
 func (n *Node) handlePersist(m ddp.Message) {
-	if !n.persistMany(n.takeScope(m.Scope), m.Scope) {
+	if !n.pipe.PersistMany(n.takeScope(m.Scope)) {
 		return
 	}
 	n.send(m.From, ddp.Message{Kind: ddp.KindAckP, Scope: m.Scope, Size: ddp.ControlSize()})
@@ -135,9 +136,9 @@ func (n *Node) handleScopeAck(m ddp.Message) {
 // it, so publish glb_durableTS for its writes and drop the buffer.
 func (n *Node) handleScopeValP(m ddp.Message) {
 	for _, e := range n.takeScope(m.Scope) {
-		r := n.store.GetOrCreate(e.key)
+		r := n.store.GetOrCreate(e.Key)
 		r.Lock()
-		r.Meta.AdvanceGlbDurable(e.ts)
+		r.Meta.AdvanceGlbDurable(e.TS)
 		r.Wake()
 		r.Unlock()
 	}

@@ -45,8 +45,11 @@ func tracedChaosCluster(t *testing.T, model ddp.Model) [][]obs.Span {
 		}
 	}
 	wg.Wait()
-	// Close flushes the pipelines, so follower continuation spans (and
-	// REnf's background durability half) are all recorded before we read.
+	// Close waits out the drain workers and every in-flight handler, so
+	// no span is recorded while we read. It drops persists still queued
+	// (a follower whose ack never went out records no spans), but a
+	// follower's span pair is recorded inside one ack hook, so every pair
+	// read below is complete.
 	for _, nd := range nodes {
 		nd.Close()
 	}

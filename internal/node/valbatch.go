@@ -28,9 +28,9 @@ const valEntryBytes = ddp.ValEntrySize
 const valFlushEvery = 500 * time.Microsecond
 
 // valStage accumulates staged validations. Non-nil on a node only when
-// the transport both polls inline and encodes synchronously: the flush
-// broadcasts while holding mu, and synchronous encoding is what makes
-// the buffer reusable the moment Broadcast returns.
+// the transport polls inline. The flush broadcasts while holding mu and
+// reuses the buffer the moment Broadcast returns, which the Transport
+// contract allows.
 type valStage struct {
 	mu    sync.Mutex
 	buf   []byte
@@ -72,12 +72,12 @@ func (n *Node) flushVals() {
 }
 
 // broadcastValsLocked ships the stage and resets it; caller holds s.mu.
-// Holding the lock across Broadcast is deliberate: the transport is a
-// synchronous encoder, so the buffer is free for reuse on return, and
-// serializing flushes keeps batches FIFO between themselves. A
-// single-entry stage unwraps to the plain message — the common case
-// under serial load, where every write's send flushes its predecessor's
-// VAL and batching only wins when commits genuinely overlap.
+// Holding the lock across Broadcast is deliberate: the buffer is free
+// for reuse once Broadcast returns, and serializing flushes keeps
+// batches FIFO between themselves. A single-entry stage unwraps to the
+// plain message — the common case under serial load, where every
+// write's send flushes its predecessor's VAL and batching only wins
+// when commits genuinely overlap.
 func (n *Node) broadcastValsLocked(s *valStage) {
 	if s.count == 1 {
 		m := ddp.DecodeValEntry(s.buf)

@@ -76,13 +76,6 @@ func (n *Node) writeScoped(key ddp.Key, value []byte, sc ddp.ScopeID) error {
 		Value: value,
 		Size:  ddp.DataSize(len(value)),
 	}
-	if !n.syncSend {
-		// The transport may retain the frame after Send returns (queued
-		// in-process delivery); give it a copy it owns. Synchronous
-		// encoders (TCP batcher, ring) finish with the bytes before
-		// returning, so the client's buffer can be aliased directly.
-		inv.Value = append([]byte(nil), value...)
-	}
 	// The INV fan-out runs with the record held, and every send first
 	// flushes the staged VAL broadcasts; the stage mutex is a leaf (its
 	// holder only encodes and broadcasts, never touching records).
@@ -111,7 +104,7 @@ func (n *Node) writeScoped(key ddp.Key, value []byte, sc ddp.ScopeID) error {
 		// The pipeline copies the value and drains in the background;
 		// no goroutine per write. waitLocallyDurable picks the result
 		// up later via the batch wake.
-		n.pipe.Enqueue(key, ts, value, sc, nil)
+		n.pipe.Enqueue(key, ts, value, sc)
 		tc.mark(obs.PhasePersistEnqueue)
 	case ddp.CoordPersistOnScopeFlush:
 		n.bufferScope(sc, key, ts, value)

@@ -43,9 +43,6 @@ func (m LatencyModel) PersistNs(size int) int64 {
 	return ns
 }
 
-// Zero reports whether the model charges no latency at all.
-func (m LatencyModel) Zero() bool { return m.NsPerKB == 0 && m.FixedNs == 0 }
-
 // Entry is one record update in the persistent log.
 type Entry struct {
 	Seq   uint64 // log sequence number, assigned at append

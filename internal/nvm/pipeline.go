@@ -25,25 +25,23 @@ import (
 // entries are filtered when the log is applied), but one engine never
 // produces it.
 //
-// The queued path is allocation-free in steady state: the queue
-// recycles its value buffers (a free list) and alternates between two
+// Every persist takes this one path, whatever the latency model: a
+// zero model charges nothing, but its entries still drain in group
+// commits on the worker.
+//
+// The path is allocation-free in steady state: the queue recycles its
+// value buffers (a free list) and alternates between two
 // generation-counted batches (cur accumulating, spare draining), and
 // durable acknowledgments ride entry fields dispatched through the
-// OnAck hook instead of per-entry continuation closures.
+// OnAck hook, so no entry carries a closure.
 type Pipeline struct {
-	log      *Log
-	lat      LatencyModel
-	onBatch  func(keys []ddp.Key, entries int)
-	onInline func(key ddp.Key)
-	onAck    func(to ddp.NodeID, kind ddp.MsgKind, key ddp.Key, ts ddp.Timestamp, scope ddp.ScopeID)
+	log     *Log
+	lat     LatencyModel
+	onBatch func(keys []ddp.Key, entries int)
+	onAck   func(to ddp.NodeID, kind ddp.MsgKind, key ddp.Key, ts ddp.Timestamp, scope ddp.ScopeID, stamp int64)
 
 	// q is the one dFIFO, drained by one worker.
 	q drainQueue
-
-	// inline short-circuits the queue entirely when the latency model
-	// charges nothing: the append happens synchronously in the caller,
-	// so a zero-delay configuration pays no handoff cost.
-	inline bool
 
 	stop   chan struct{}
 	closed atomic.Bool
@@ -74,16 +72,12 @@ type PipelineConfig struct {
 	// The node layer uses it to wake each record once per batch and to
 	// keep its persist counters exact.
 	OnBatch func(keys []ddp.Key, entries int)
-	// OnInline, when set, replaces OnBatch on the zero-latency inline
-	// append path: it receives the single appended key with no slice
-	// wrapper, keeping the inline persist allocation-free. When unset,
-	// inline appends fall back to OnBatch.
-	OnInline func(key ddp.Key)
 	// OnAck, when set, runs on the drain worker for every EnqueueAck
 	// entry strictly after its batch is appended — the persist-before-
-	// ack order — carrying the acknowledgment's addressing as plain
-	// values. One hook for the pipeline replaces one closure per entry.
-	OnAck func(to ddp.NodeID, kind ddp.MsgKind, key ddp.Key, ts ddp.Timestamp, scope ddp.ScopeID)
+	// ack order — carrying the acknowledgment's addressing and the
+	// caller's stamp as plain values. One hook for the pipeline replaces
+	// one closure per entry.
+	OnAck func(to ddp.NodeID, kind ddp.MsgKind, key ddp.Key, ts ddp.Timestamp, scope ddp.ScopeID, stamp int64)
 }
 
 // Update is one record update submitted to the pipeline.
@@ -96,16 +90,16 @@ type Update struct {
 
 // batchEntry is one queued update; value is a queue-owned recycled
 // buffer. An acknowledgment dispatched via the OnAck hook rides the
-// ack fields; then remains for the rare traced path.
+// ack fields.
 type batchEntry struct {
-	key     ddp.Key
-	ts      ddp.Timestamp
-	value   []byte
-	scope   ddp.ScopeID
-	then    func()
-	ackTo   ddp.NodeID
-	ackKind ddp.MsgKind
-	hasAck  bool
+	key      ddp.Key
+	ts       ddp.Timestamp
+	value    []byte
+	scope    ddp.ScopeID
+	ackTo    ddp.NodeID
+	ackKind  ddp.MsgKind
+	ackStamp int64
+	hasAck   bool
 }
 
 // drainBatch is a reusable group commit. A batch's lifetime is a
@@ -150,14 +144,12 @@ type drainQueue struct {
 // worker. Close stops it.
 func NewPipeline(log *Log, cfg PipelineConfig) *Pipeline {
 	p := &Pipeline{
-		log:      log,
-		lat:      cfg.Lat,
-		onBatch:  cfg.OnBatch,
-		onInline: cfg.OnInline,
-		onAck:    cfg.OnAck,
-		q:        drainQueue{cur: newDrainBatch(), wake: make(chan struct{}, 1)},
-		inline:   cfg.Lat.Zero(),
-		stop:     make(chan struct{}),
+		log:     log,
+		lat:     cfg.Lat,
+		onBatch: cfg.OnBatch,
+		onAck:   cfg.OnAck,
+		q:       drainQueue{cur: newDrainBatch(), wake: make(chan struct{}, 1)},
+		stop:    make(chan struct{}),
 	}
 	p.reg = obs.NewRegistry("nvm.pipeline")
 	p.batches = p.reg.Counter("batches")
@@ -168,10 +160,8 @@ func NewPipeline(log *Log, cfg PipelineConfig) *Pipeline {
 	p.pending = p.reg.Gauge("pending")
 	p.batchEntries = p.reg.Histogram("batch_entries")
 	p.drainNs = p.reg.Histogram("drain_ns")
-	if !p.inline {
-		p.wg.Add(1)
-		go p.drainWorker()
-	}
+	p.wg.Add(1)
+	go p.drainWorker()
 	return p
 }
 
@@ -278,75 +268,31 @@ func (p *Pipeline) waitBatch(b *drainBatch, g uint64) bool {
 	return true
 }
 
-// appendInline is the zero-latency fast path: a synchronous append with
-// per-entry bookkeeping, no queue handoff, and no allocation when the
-// OnInline hook is installed.
-//
-//minos:hotpath
-func (p *Pipeline) appendInline(key ddp.Key, ts ddp.Timestamp, value []byte, scope ddp.ScopeID, then func()) {
-	p.log.Append(key, ts, value, scope)
-	p.entries.Add(1)
-	p.batches.Add(1)
-	p.batchEntries.Observe(1)
-	if then != nil {
-		then()
-	}
-	if p.onInline != nil {
-		p.onInline(key)
-	} else if p.onBatch != nil {
-		p.onBatchSingle(key)
-	}
-}
-
-// onBatchSingle adapts the single-key inline append to the batch hook;
-// the slice literal lives here, off the annotated fast path.
-func (p *Pipeline) onBatchSingle(key ddp.Key) {
-	p.onBatch([]ddp.Key{key}, 1)
-}
-
-// Inline reports whether the pipeline appends synchronously in the
-// caller (zero modeled latency, no drain workers). Callers use it to
-// skip continuation closures: after an inline Enqueue returns, the
-// entry is already durable.
-func (p *Pipeline) Inline() bool { return p.inline }
-
-// Enqueue submits an update without waiting for durability. If then is
-// non-nil it runs on the drain worker strictly after the batch holding
-// the update has been appended to the log — the hook used to send
-// durable acknowledgments without blocking the submitter. Returns false
-// (and drops the update) if the pipeline is closed. Closure-free
-// callers should prefer EnqueueAck.
-func (p *Pipeline) Enqueue(key ddp.Key, ts ddp.Timestamp, value []byte, scope ddp.ScopeID, then func()) bool {
+// Enqueue submits an update without waiting for durability; callers
+// learn of it through the log (LocallyDurable) and the OnBatch hook.
+// Returns false (and drops the update) if the pipeline is closed.
+func (p *Pipeline) Enqueue(key ddp.Key, ts ddp.Timestamp, value []byte, scope ddp.ScopeID) bool {
 	if p.closed.Load() {
 		return false
 	}
-	if p.inline {
-		p.appendInline(key, ts, value, scope, then)
-		return true
-	}
-	p.enqueue(batchEntry{key: key, ts: ts, value: value, scope: scope, then: then})
+	p.enqueue(batchEntry{key: key, ts: ts, value: value, scope: scope})
 	return true
 }
 
 // EnqueueAck submits an update whose durable acknowledgment — kind,
 // addressed to to — is dispatched through the OnAck hook strictly after
-// the group commit holding the update drains. It is Enqueue's
-// continuation without the closure: the addressing rides the entry as
-// plain values, so the untraced follower ack path allocates nothing.
+// the group commit holding the update drains. The addressing and stamp
+// (an opaque value handed back to OnAck; the node passes a trace start
+// time, 0 when untraced) ride the entry as plain values, so the ack path
+// allocates nothing. Returns false (and drops the update) if the
+// pipeline is closed.
 //
 //minos:hotpath
-func (p *Pipeline) EnqueueAck(key ddp.Key, ts ddp.Timestamp, value []byte, scope ddp.ScopeID, to ddp.NodeID, kind ddp.MsgKind) bool {
+func (p *Pipeline) EnqueueAck(key ddp.Key, ts ddp.Timestamp, value []byte, scope ddp.ScopeID, to ddp.NodeID, kind ddp.MsgKind, stamp int64) bool {
 	if p.closed.Load() {
 		return false
 	}
-	if p.inline {
-		p.appendInline(key, ts, value, scope, nil)
-		if p.onAck != nil {
-			p.onAck(to, kind, key, ts, scope)
-		}
-		return true
-	}
-	p.enqueue(batchEntry{key: key, ts: ts, value: value, scope: scope, ackTo: to, ackKind: kind, hasAck: true})
+	p.enqueue(batchEntry{key: key, ts: ts, value: value, scope: scope, ackTo: to, ackKind: kind, ackStamp: stamp, hasAck: true})
 	return true
 }
 
@@ -355,10 +301,6 @@ func (p *Pipeline) EnqueueAck(key ddp.Key, ts ddp.Timestamp, value []byte, scope
 func (p *Pipeline) Persist(key ddp.Key, ts ddp.Timestamp, value []byte, scope ddp.ScopeID) bool {
 	if p.closed.Load() {
 		return false
-	}
-	if p.inline {
-		p.appendInline(key, ts, value, scope, nil)
-		return true
 	}
 	b, g := p.enqueue(batchEntry{key: key, ts: ts, value: value, scope: scope})
 	return p.waitBatch(b, g)
@@ -373,12 +315,6 @@ func (p *Pipeline) PersistMany(updates []Update) bool {
 		return false
 	}
 	if len(updates) == 0 {
-		return true
-	}
-	if p.inline {
-		for _, u := range updates {
-			p.appendInline(u.Key, u.TS, u.Value, u.Scope, nil)
-		}
 		return true
 	}
 	q := &p.q
@@ -530,19 +466,19 @@ func (p *Pipeline) drain() bool {
 		p.entries.Add(int64(len(b.entries)))
 		p.batches.Add(1)
 		p.batchEntries.Observe(int64(len(b.entries)))
-		p.pending.Add(-int64(len(b.entries)))
 		if p.onBatch != nil {
 			p.onBatch(keys, len(b.entries))
 		}
-		for i := range b.entries {
-			e := &b.entries[i]
-			if e.hasAck && p.onAck != nil {
-				p.onAck(e.ackTo, e.ackKind, e.key, e.ts, e.scope)
-			}
-			if e.then != nil {
-				e.then()
+		if p.onAck != nil {
+			for i := range b.entries {
+				if e := &b.entries[i]; e.hasAck {
+					p.onAck(e.ackTo, e.ackKind, e.key, e.ts, e.scope, e.ackStamp)
+				}
 			}
 		}
+		// pending drops only after the hooks, so a zero gauge means every
+		// enqueued entry is appended, counted and acknowledged.
+		p.pending.Add(-int64(len(b.entries)))
 
 		// One wake for every persister blocked on the batch.
 		b.mu.Lock()
@@ -551,7 +487,7 @@ func (p *Pipeline) drain() bool {
 		b.mu.Unlock()
 
 		// Recycle: value buffers back on the free list, entries cleared
-		// (dropping value/closure references), batch parked as spare.
+		// (dropping value references), batch parked as spare.
 		q.mu.Lock()
 		for i := range b.entries {
 			e := &b.entries[i]

@@ -87,7 +87,7 @@ func (c *Chaos) Send(to ddp.NodeID, f Frame) error {
 		return nil // lost on the wire; the protocol must absorb it
 	}
 	select {
-	case c.pump(to) <- f:
+	case c.pump(to) <- ownValues(f):
 		return nil
 	default:
 		return ErrDisconnected // pump overwhelmed; treat as loss

@@ -71,12 +71,6 @@ type InlinePoller interface {
 	PollInline(budget int) int
 }
 
-// SyncEncoder marks transports whose Send and Broadcast complete the
-// wire encoding of the frame (including Msg.Value) before returning, so
-// the caller may reuse or mutate the value's backing array immediately.
-// The node layer skips its defensive value copy over such transports.
-type SyncEncoder interface{ SyncEncode() }
-
 // spscRing is one single-producer/single-consumer byte ring. Producer
 // concurrency is serialized by pmu (many protocol goroutines send);
 // consumer exclusivity is the owning endpoint's poll token. head and
@@ -322,7 +316,6 @@ var (
 	_ Transport    = (*RingTransport)(nil)
 	_ obs.Source   = (*RingTransport)(nil)
 	_ InlinePoller = (*RingTransport)(nil)
-	_ SyncEncoder  = (*RingTransport)(nil)
 )
 
 // Self returns this endpoint's node ID.
@@ -334,10 +327,6 @@ func (t *RingTransport) Peers() []ddp.NodeID { return t.peers }
 // Recv returns the inbound frame channel (used when no handler is
 // installed). It closes when the transport closes.
 func (t *RingTransport) Recv() <-chan Frame { return t.rx }
-
-// SyncEncode marks that Send/Broadcast serialize the frame before
-// returning (SyncEncoder).
-func (t *RingTransport) SyncEncode() {}
 
 // SetHandler implements InlinePoller: subsequent frames are delivered
 // synchronously to h on the polling goroutine, values borrowed from

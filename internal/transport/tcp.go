@@ -241,11 +241,6 @@ func (t *TCPTransport) dialAddr(id ddp.NodeID) (string, bool) {
 // Self returns this endpoint's node ID.
 func (t *TCPTransport) Self() ddp.NodeID { return t.self }
 
-// SyncEncode marks that Send/Broadcast serialize the frame (value
-// included) into the peer's batch buffer before returning, so callers
-// may reuse the value's backing array immediately (SyncEncoder).
-func (t *TCPTransport) SyncEncode() {}
-
 // Peers returns the other cluster members in ascending NodeID order, so
 // every caller that fans out over the cluster iterates deterministically
 // (the address map's range order is not). The slice is immutable.

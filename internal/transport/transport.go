@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 
@@ -13,12 +14,15 @@ import (
 // not guarantee delivery across disconnections.
 type Transport interface {
 	// Send transmits f to peer. Sending to an unknown or disconnected
-	// peer returns an error.
+	// peer returns an error. Send is done with f's value bytes
+	// (Msg.Value, Req.Value, Resp.Value) when it returns: the caller may
+	// reuse or overwrite them at once. A fabric that keeps the frame
+	// past Send keeps its own copy.
 	Send(to ddp.NodeID, f Frame) error
 	// Broadcast transmits f to every peer, encoding it at most once
 	// (the paper's message-broadcast optimization, §VI). Delivery is
 	// best-effort per peer: every peer is attempted and the first error
-	// is returned.
+	// is returned. The value bytes are free on return, as for Send.
 	Broadcast(f Frame) error
 	// Recv returns the channel of inbound frames. The channel closes
 	// when the transport closes.
@@ -142,7 +146,13 @@ func (t *MemTransport) Peers() []ddp.NodeID { return t.peers }
 func (t *MemTransport) Recv() <-chan Frame { return t.rx }
 
 // Send delivers f to peer unless either side is partitioned or closed.
+// The queued frame carries its own copy of the value bytes.
 func (t *MemTransport) Send(to ddp.NodeID, f Frame) error {
+	return t.deliver(to, ownValues(f))
+}
+
+// deliver queues f, whose value bytes the fabric owns, for peer to.
+func (t *MemTransport) deliver(to ddp.NodeID, f Frame) error {
 	if err := t.send(to, f); err != nil {
 		t.stats.sendErrors.Add(1)
 		return err
@@ -177,14 +187,25 @@ func (t *MemTransport) send(to ddp.NodeID, f Frame) error {
 	}
 }
 
+// ownValues gives a frame that outlives Send its own copies of the
+// caller's value bytes (the Send contract frees them on return).
+func ownValues(f Frame) Frame {
+	f.Msg.Value = bytes.Clone(f.Msg.Value)
+	f.Req.Value = bytes.Clone(f.Req.Value)
+	f.Resp.Value = bytes.Clone(f.Resp.Value)
+	return f
+}
+
 // Broadcast delivers f to every peer. There is no wire encoding in
-// process, so "encode once" is vacuous here; the call still counts as
-// one broadcast for cross-transport stats comparability.
+// process, so "encode once" becomes "copy the value bytes once": every
+// peer receives the same read-only copy. The call counts as one
+// broadcast for cross-transport stats comparability.
 func (t *MemTransport) Broadcast(f Frame) error {
 	t.stats.broadcasts.Add(1)
+	f = ownValues(f)
 	var firstErr error
 	for _, id := range t.peers {
-		if err := t.Send(id, f); err != nil && firstErr == nil {
+		if err := t.deliver(id, f); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/minos-ddp/minos/internal/ddp"
 )
@@ -262,5 +263,71 @@ func TestFrameKindsDistinct(t *testing.T) {
 	}
 	if !reflect.DeepEqual(len(seen), 4) {
 		t.Fatal("expected 4 distinct frame kinds")
+	}
+}
+
+// TestSendDoesNotRetainValue pins the Send contract on every fabric:
+// the caller may overwrite a frame's value bytes the moment Send
+// returns, and the receiver still sees the bytes as they were sent.
+// Fabrics that hold a frame past Send (mem's channel, chaos's delay
+// pump) must keep their own copy.
+func TestSendDoesNotRetainValue(t *testing.T) {
+	fabrics := []struct {
+		name string
+		pair func(t *testing.T) (Transport, Transport)
+	}{
+		{"mem", func(t *testing.T) (Transport, Transport) {
+			net := NewMemNetwork(2)
+			return net.Endpoint(0), net.Endpoint(1)
+		}},
+		{"ring", func(t *testing.T) (Transport, Transport) {
+			t0, t1 := ringPair(t)
+			return t0, t1
+		}},
+		{"tcp", func(t *testing.T) (Transport, Transport) {
+			t0, t1 := tcpPair(t)
+			return t0, t1
+		}},
+		{"chaos-over-mem", func(t *testing.T) (Transport, Transport) {
+			cn := NewChaosNetwork(2, time.Millisecond, 7)
+			t.Cleanup(cn.Close)
+			return cn.Endpoint(0), cn.Endpoint(1)
+		}},
+	}
+	for _, fab := range fabrics {
+		t.Run(fab.name, func(t *testing.T) {
+			src, dst := fab.pair(t)
+			buf := make([]byte, 16)
+			frames := []func([]byte) Frame{
+				func(v []byte) Frame {
+					return Frame{Kind: FrameMessage, Msg: ddp.Message{Kind: ddp.KindInv, Key: 1, Value: v}}
+				},
+				func(v []byte) Frame {
+					return Frame{Kind: FrameClientRequest, Req: ClientRequest{Op: OpClientWrite, Value: v}}
+				},
+				func(v []byte) Frame { return Frame{Kind: FrameClientResponse, Resp: ClientResponse{Value: v}} },
+			}
+			for i, mk := range frames {
+				for j := range buf {
+					buf[j] = byte('a' + i)
+				}
+				want := string(buf)
+				if err := src.Send(dst.Self(), mk(buf)); err != nil {
+					t.Fatal(err)
+				}
+				for j := range buf {
+					buf[j] = 'X'
+				}
+				select {
+				case f := <-dst.Recv():
+					got := string(f.Msg.Value) + string(f.Req.Value) + string(f.Resp.Value)
+					if got != want {
+						t.Fatalf("frame %d: receiver saw %q, want %q (Send retained the caller's bytes)", i, got, want)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("frame %d never arrived", i)
+				}
+			}
+		})
 	}
 }
