@@ -17,7 +17,7 @@
 // Unlike the closed-loop bench commands, every latency here is charged
 // against the op's *intended* arrival time (coordinated-omission-safe),
 // so the post-knee rows show the queueing delay a closed loop hides.
-// Load shedding is explicit: arrivals a node refuses (admission queue
+// Load shedding is explicit: arrivals a node refuses (admission window
 // full) come back StatusShed and are counted, never silently retried.
 //
 //	minos-benchscale -json BENCH_scale.json          # full sweep (~1M clients)
@@ -77,7 +77,7 @@ func main() {
 	clients := flag.Int("clients", 1_000_000, "logical clients (multiplexed over -conns connections)")
 	conns := flag.Int("conns", 16, "transport connections carrying the logical clients")
 	window := flag.Int("window", 256, "per-connection in-flight window")
-	clientWindow := flag.Int("client-window", 0, "per-node admission queue bound (0 = loadgen default); beyond it nodes shed")
+	clientWindow := flag.Int("client-window", 0, "per-node bound on client ops in flight (0 = loadgen default); beyond it nodes shed")
 	models := flag.String("models", "Lin-Synch,Lin-Strict", "comma-separated persistency models")
 	fabrics := flag.String("fabrics", "ring,tcp", "comma-separated fabrics (mem, ring, tcp)")
 	offloadMode := flag.String("offload", "both", "offload modes per cell: off, on, or both")

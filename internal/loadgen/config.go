@@ -35,9 +35,9 @@ type Cluster struct {
 	// fabric, the default), "ring" (shared-memory SPSC rings with
 	// inline polling), or "tcp" (loopback TCP mesh).
 	Fabric string
-	// ClientWindow bounds each node's remote-client admission queue;
-	// requests beyond it are shed with StatusShed. Zero picks the
-	// loadgen default (1024) when client connections exist.
+	// ClientWindow bounds the client operations each node has in
+	// flight; requests beyond it are shed with StatusShed. Zero picks
+	// the loadgen default (1024) when client connections exist.
 	ClientWindow int
 }
 

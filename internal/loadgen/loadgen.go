@@ -39,7 +39,7 @@ type Result struct {
 	// instead delays the dispatcher, and that delay is charged to every
 	// affected op's intended-time latency.
 	ShedWindow int64
-	ShedNode   int64 // StatusShed responses (node admission queue full)
+	ShedNode   int64 // StatusShed responses (node admission window full)
 	ShedSend   int64 // transport send failures (never retried)
 	Errs       int64 // StatusErr responses
 	Abandoned  int64 // still in flight when the drain grace expired

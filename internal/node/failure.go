@@ -53,7 +53,7 @@ func (n *Node) noteAlive(id ddp.NodeID) {
 
 // setAlive publishes a new liveness epoch with id's status changed.
 // Pending completion predicates never shrink their follower sets, so
-// revival needs no wake-up; failure wake-ups happen in onPeerFailed.
+// revival needs no re-evaluation; failures get theirs in onPeerFailed.
 func (n *Node) setAlive(id ddp.NodeID, up bool) {
 	n.liveMu.Lock()
 	defer n.liveMu.Unlock()
@@ -91,24 +91,13 @@ func (n *Node) checkTimeouts() {
 	}
 }
 
-// onPeerFailed unblocks everything that was waiting on the failed peer:
+// onPeerFailed advances everything that was waiting on the failed peer:
 // pending write transactions stop expecting its acknowledgments, scope
 // flushes stop expecting its [ACK_P]sc, and read locks owned by writes
 // it coordinated are released — those writes can never validate.
 func (n *Node) onPeerFailed(id ddp.NodeID) {
 	n.Stats.PeersFailed.Add(1)
-	pending, scopes := n.collectWaiters()
-
-	for _, wt := range pending {
-		wt.mu.Lock()
-		wt.cond.Broadcast()
-		wt.mu.Unlock()
-	}
-	for _, sp := range scopes {
-		sp.mu.Lock()
-		sp.cond.Broadcast()
-		sp.mu.Unlock()
-	}
+	n.sweep()
 
 	// Abort the failed coordinator's in-flight writes locally: their
 	// VALs will never arrive, so holding their RDLocks would stall

@@ -13,6 +13,14 @@ import (
 // enabled plus one client endpoint wired to every node.
 func newClientCluster(t *testing.T, n int, model ddp.Model, mutate func(*Config)) ([]*Node, *transport.MemTransport) {
 	t.Helper()
+	nodes, net := newClientNet(t, n, model, mutate)
+	return nodes, net.Endpoint(ddp.NodeID(n))
+}
+
+// newClientNet is newClientCluster returning the network, whose
+// endpoint n is the client.
+func newClientNet(t *testing.T, n int, model ddp.Model, mutate func(*Config)) ([]*Node, *transport.MemNetwork) {
+	t.Helper()
 	net := transport.NewMemNetworkClients(n, 1)
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
@@ -28,7 +36,7 @@ func newClientCluster(t *testing.T, n int, model ddp.Model, mutate func(*Config)
 			nd.Close()
 		}
 	})
-	return nodes, net.Endpoint(ddp.NodeID(n))
+	return nodes, net
 }
 
 // call issues one client op and waits for its response.
@@ -81,9 +89,8 @@ func TestClientFrontendWriteReadPersist(t *testing.T) {
 // TestClientFrontendSheds pins the admission contract: a full window
 // answers StatusShed immediately instead of queueing unboundedly, and
 // every admitted request is still answered — offered equals responses.
-// With a window of 2, at most clientWorkers+2 = 10 of the 64 burst
-// writes are in flight or queued while each holds a 2 ms persist, so the
-// burst must shed.
+// With a window of 2, at most 2 of the 64 burst writes are in flight
+// while each waits out a 2 ms persist, so the burst must shed.
 func TestClientFrontendSheds(t *testing.T) {
 	_, client := newClientCluster(t, 3, ddp.LinSynch, func(c *Config) {
 		c.ClientWindow = 2
@@ -125,8 +132,10 @@ func TestClientFrontendSheds(t *testing.T) {
 }
 
 // TestClientFrontendOverRingRTC drives client ops through the
-// inline-polled ring path — the configuration where executing a client
-// op inline (instead of enqueueing) would deadlock on the poll token. Fifty round trips complete or the test times out.
+// inline-polled ring path, where a client op runs on the poll-token
+// holder at admission and completes on the acknowledgment that finishes
+// it — an op that waited there instead would deadlock on the poll
+// token. Fifty round trips complete or the test times out.
 func TestClientFrontendOverRingRTC(t *testing.T) {
 	const nodes = 3
 	net := transport.NewRingNetworkClients(nodes, 1, 256<<10, 0)
@@ -186,5 +195,50 @@ func TestClientFrontendDisabledErrs(t *testing.T) {
 	resp := call(t, client, 0, 1, transport.ClientRequest{Op: transport.OpClientRead, Key: 1})
 	if resp.Status != transport.StatusErr {
 		t.Fatalf("status = %v, want StatusErr", resp.Status)
+	}
+}
+
+// TestClientPersistCoversOwnWrites pins the remote Lin-Scope contract:
+// OpClientPersist flushes the scope holding every write its client
+// endpoint had admitted at that node, so once it answers OK each of
+// those writes is durable on every node.
+func TestClientPersistCoversOwnWrites(t *testing.T) {
+	nodes, client := newClientCluster(t, 3, ddp.LinScope, nil)
+	const writes = 8
+	for k := ddp.Key(0); k < writes; k++ {
+		w := call(t, client, 0, uint64(k), transport.ClientRequest{
+			Op: transport.OpClientWrite, Key: k, Value: []byte{byte(k)},
+		})
+		if w.Status != transport.StatusOK {
+			t.Fatalf("write %d status = %v", k, w.Status)
+		}
+	}
+	if p := call(t, client, 0, 99, transport.ClientRequest{Op: transport.OpClientPersist}); p.Status != transport.StatusOK {
+		t.Fatalf("persist status = %v", p.Status)
+	}
+	for _, nd := range nodes {
+		missing := 0
+		for k := ddp.Key(0); k < writes; k++ {
+			if _, ok := nd.Log().DurableTS(k); !ok {
+				missing++
+			}
+		}
+		if missing > 0 {
+			t.Errorf("node %d: %d of %d persisted writes have no durable log entry", nd.ID(), missing, writes)
+		}
+	}
+}
+
+// TestClientWindowStartsNoGoroutines: the client frontend executes
+// operations on the delivery goroutine, so enabling it starts nothing.
+func TestClientWindowStartsNoGoroutines(t *testing.T) {
+	started := func(window int) int {
+		before := settledGoroutines()
+		newClientCluster(t, 5, ddp.LinSynch, func(c *Config) { c.ClientWindow = window })
+		return settledGoroutines() - before
+	}
+	without := started(0)
+	if with := started(64); with > without {
+		t.Fatalf("a 5-node cluster started %d goroutines with ClientWindow set, %d without", with, without)
 	}
 }

@@ -23,7 +23,7 @@ func (n *Node) handleMessage(m ddp.Message) {
 			n.handleScopeAck(m)
 			return
 		}
-		n.handleAck(m)
+		n.handleAck(m.Key, m.TS, m.Kind, m.From)
 	case ddp.KindVal, ddp.KindValC, ddp.KindValP:
 		if m.Kind == ddp.KindValP && m.Scope != 0 && m.TS == (ddp.Timestamp{}) {
 			n.handleScopeValP(m)
@@ -105,11 +105,7 @@ func (n *Node) applyInv(m ddp.Message) bool {
 // delivery goroutine. Obsolete INVs only occur under write contention,
 // so the goroutine is the rare case, not the common one.
 func (n *Node) spawnObsolete(r *kv.Record, m ddp.Message) {
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		n.followerObsolete(r, m)
-	}()
+	n.spawn(func() { n.followerObsolete(r, m) })
 }
 
 // followerObsolete handles an obsolete INV (Fig 2 L27-30): spin until
@@ -166,77 +162,6 @@ func (n *Node) sendAck(m ddp.Message, kind ddp.MsgKind) {
 		Kind: kind, Key: m.Key, TS: m.TS, Scope: m.Scope,
 		Size: ddp.ControlSize(),
 	})
-}
-
-// handleAck records a follower acknowledgment at the coordinator. The
-// ack update runs entirely under the transaction-stripe lock: that is
-// what lets removePending recycle a retired transaction's bookkeeping
-// the moment its delete commits — no handler can still hold a
-// reference. The transaction mutex nests inside the stripe mutex here,
-// the only place the two are held together.
-//
-// When the recorded acknowledgment completes the consistency quorum,
-// the handler fans out VAL_C itself (for the models that send it at
-// consistency) instead of waiting for the coordinator goroutine to wake
-// — follower read stalls release one wake-up earlier. The writer's own
-// fan-out and this one deduplicate through wt.valCSent; the durable VAL
-// always stays with the writer, the only party that waits out local
-// durability. The record lock in fanoutValC is taken only after the
-// stripe and transaction locks drop, so it adds no lock-order edge.
-//
-//minos:lockorder node.txnStripe.mu < node.writeTxn.mu
-//minos:hotpath
-func (n *Node) handleAck(m ddp.Message) {
-	s := n.stripeFor(m.Key)
-	s.mu.Lock()
-	wt := s.pending[txnKey{m.Key, m.TS}]
-	if wt == nil {
-		// Late ack from a peer that was declared failed mid-write (the
-		// transaction already completed without it) — discard.
-		s.mu.Unlock()
-		return
-	}
-	wt.mu.Lock()
-	// Duplicate acks can occur after failure/recovery races; ignore
-	// errors from re-recording, they are benign here.
-	_ = wt.txn.RecordAck(m.Kind, m.From)
-	// Publish the counts for the inline-polling spin, then wake the
-	// parked waiter only if its predicate can actually hold now — every
-	// follower acked, or a missing one is dead (the detector broadcasts
-	// at the moment of death; this covers acks arriving after it).
-	// Intermediate acks skip the broadcast, halving the wake traffic of
-	// a multi-follower write.
-	wt.ackCn.Store(int32(wt.txn.AckCCount()))
-	wt.ackPn.Store(int32(wt.txn.AckPCount()))
-	doneC, doneP := n.acked(wt)
-	fanout := doneC && n.policy.SendsValAtConsistency() && wt.valCSent.CompareAndSwap(false, true)
-	// Immutable liveness snapshot: safe to use after the locks drop,
-	// even if the writer retires wt concurrently.
-	followers := wt.followers
-	if doneC || doneP {
-		wt.cond.Broadcast()
-	}
-	wt.mu.Unlock()
-	s.mu.Unlock()
-	if fanout {
-		n.fanoutValC(m.Key, m.TS, m.Scope, followers)
-	}
-}
-
-// fanoutValC publishes the consistency point locally and broadcasts
-// VAL_C — the same steps the writer performs after its consistency
-// wait (write.go), made idempotent by the monotonic glb advance, the
-// owner-matched RDLock release, and the valCSent guard on the send.
-func (n *Node) fanoutValC(key ddp.Key, ts ddp.Timestamp, sc ddp.ScopeID, followers []ddp.NodeID) {
-	r := n.store.GetOrCreate(key)
-	r.Lock()
-	r.Meta.AdvanceGlbVolatile(ts)
-	if n.policy.Release == ddp.ReleaseWhenConsistent {
-		r.ReleaseRDLockIfOwner(ts)
-	}
-	r.Wake()
-	r.Unlock()
-	n.sendVal(ddp.KindValC, key, ts, sc, followers)
 }
 
 // handleVal applies a VAL/VAL_C/VAL_P at a follower (Fig 2 L41-44).

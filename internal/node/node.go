@@ -48,11 +48,11 @@ type Config struct {
 	// path then pays a single predictable branch per phase boundary.
 	Tracer *obs.Tracer
 	// ClientWindow, when positive, enables the remote-client frontend:
-	// FrameClientRequest frames are admitted into a bounded queue of
-	// this depth and executed by a pool of clientWorkers goroutines;
-	// requests arriving with the queue full are shed with an explicit
-	// StatusShed response. Zero disables the frontend (client frames are
-	// answered StatusErr).
+	// a FrameClientRequest runs at admission, on the delivery goroutine,
+	// and at most this many client operations are in flight at once;
+	// a request beyond that is shed with an explicit StatusShed
+	// response. Zero disables the frontend (client frames are answered
+	// StatusErr).
 	ClientWindow int
 	// Offload, when non-nil, enables the soft-NIC offload engine
 	// (MINOS-O): protocol messages for keys the adaptive policy deems
@@ -69,53 +69,70 @@ type txnKey struct {
 	ts  ddp.Timestamp
 }
 
-// writeTxn is the coordinator-side state of one in-flight client-write.
-// ackCn/ackPn mirror the acknowledgment counts atomically so a
-// coordinator polling the transport inline can spin on them without
-// taking mu; the authoritative per-follower state stays in txn under mu.
+// writeTxn is one in-flight client-write at its coordinator and its
+// own continuation: acks, the local persist, a peer failure or Close
+// advance it from whichever goroutine delivers them. mu guards the
+// acks, persisted and busy; stage and tc belong to the busy role.
 type writeTxn struct {
 	mu        sync.Mutex
-	cond      *sync.Cond
-	txn       *ddp.WriteTxn
+	reply     reply
+	txn       *ddp.WriteTxn // key, ts, scope and the follower acks
 	followers []ddp.NodeID
-	ackCn     atomic.Int32
-	ackPn     atomic.Int32
-	// valCSent deduplicates the consistency-point VAL_C broadcast
-	// between the writer and handleAck: whichever observes the quorum
-	// first wins the CAS and fans out; the other skips.
-	valCSent atomic.Bool
+	r         *kv.Record
+	tc        *traceCtx
+	// refs counts the protocol (until retire) and an in-process caller
+	// (until it read the outcome); the last release recycles the txn.
+	refs      atomic.Int32
+	busy      bool // a goroutine is running the txn's steps
+	persisted bool // the local persist is durable
+	stage     uint8
 }
 
 // wtPool recycles writeTxn state (including the WriteTxn ack maps, via
-// Reset) across writes. Safe because removePending holds the stripe
-// lock, the only place concurrent handlers obtain wt references.
+// Reset) across writes.
 var wtPool = sync.Pool{New: func() any {
 	wt := &writeTxn{txn: &ddp.WriteTxn{}}
-	wt.cond = sync.NewCond(&wt.mu)
+	wt.reply.cond = sync.NewCond(&wt.mu)
 	return wt
 }}
 
-// getWriteTxn checks bookkeeping for one write out of the pool.
+// getWriteTxn checks one write's state out of the pool, with the busy
+// role held by the issuing goroutine.
 //
 //minos:hotpath
-func (n *Node) getWriteTxn(key ddp.Key, ts ddp.Timestamp, followers []ddp.NodeID) *writeTxn {
+func (n *Node) getWriteTxn(r *kv.Record, key ddp.Key, ts ddp.Timestamp, sc ddp.ScopeID, followers []ddp.NodeID, c client, tc *traceCtx) *writeTxn {
 	wt := wtPool.Get().(*writeTxn)
 	// followers comes from an immutable liveness snapshot; aliasing it
 	// is safe and keeps the write fast path allocation-free.
 	wt.followers = followers
 	wt.txn.Reset(n.policy, n.id, key, ts, len(followers))
-	wt.ackCn.Store(0)
-	wt.ackPn.Store(0)
-	wt.valCSent.Store(false)
+	wt.txn.Scope = sc
+	wt.r, wt.tc = r, tc
+	wt.reply.client, wt.reply.err = c, nil
+	wt.reply.done.Store(false)
+	wt.refs.Store(1)
+	if !c.remote {
+		wt.refs.Store(2)
+	}
+	wt.busy, wt.persisted, wt.stage = true, false, awaitConsistent
 	return wt
 }
 
-// scopePersist tracks one [PERSIST]sc at its coordinator.
+// release drops one hold on wt; the last recycles it.
+func (n *Node) release(wt *writeTxn) {
+	if wt.refs.Add(-1) == 0 {
+		wtPool.Put(wt)
+	}
+}
+
+// scopePersist is one [PERSIST]sc at its coordinator. Its fields are
+// guarded by scopeMu, which is also its reply's cond lock.
 type scopePersist struct {
-	mu        sync.Mutex
-	cond      *sync.Cond
+	reply     reply
 	followers []ddp.NodeID
 	got       map[ddp.NodeID]bool
+	entries   []nvm.Update
+	local     bool // the coordinator's own flush drained
 }
 
 // txnStripeCount stripes the coordinator's transaction table (pending
@@ -164,14 +181,14 @@ type Node struct {
 	// MINOS-B, every message on the delivery goroutine.
 	off *offload.Engine
 	// fe is the remote-client frontend (nil unless Config.ClientWindow
-	// is set): bounded admission plus a worker pool over the same
-	// Write/Read/Persist paths local callers use.
+	// is set): bounded admission into the same write, read and scope
+	// persist paths local callers use.
 	fe *frontend
 
 	// poller is non-nil when the transport polls inline: frames then
 	// arrive on whichever goroutine holds its poll token (borrowing
-	// transport storage) instead of on recvLoop, and a coordinator
-	// waiting for acknowledgments drives the poll itself.
+	// transport storage) instead of on recvLoop, and an in-process
+	// caller waiting on its operation drives the poll itself.
 	poller transport.InlinePoller
 
 	// vals coalesces release-side VAL broadcasts from back-to-back
@@ -185,7 +202,7 @@ type Node struct {
 
 	txns [txnStripeCount]*txnStripe
 
-	scopeMu   sync.Mutex // guards scopeBuf, scopeWait
+	scopeMu   sync.Mutex // guards scopeBuf, scopeWait and their flushes
 	scopeBuf  map[ddp.ScopeID][]nvm.Update
 	scopeWait map[ddp.ScopeID]*scopePersist
 
@@ -321,9 +338,6 @@ func (n *Node) Log() *nvm.Log { return n.log }
 // Pipeline exposes the durability pipeline (tests and tools).
 func (n *Node) Pipeline() *nvm.Pipeline { return n.pipe }
 
-// Tracer returns the node's trace recorder (nil when tracing is off).
-func (n *Node) Tracer() *obs.Tracer { return n.tracer }
-
 // Describe implements obs.Source.
 func (n *Node) Describe() string { return "node" }
 
@@ -351,9 +365,6 @@ func (n *Node) Start() {
 		n.wg.Add(1)
 		go n.valFlushLoop()
 	}
-	if n.fe != nil {
-		n.fe.start()
-	}
 	if n.off != nil {
 		n.off.Start()
 	}
@@ -367,26 +378,13 @@ func (n *Node) Close() error {
 	close(n.stop)
 	n.tr.Close()
 
-	// Stop the durability pipeline first: a delivery goroutine blocked in
-	// a scope flush and clients blocked in an inline persist unblock with
-	// a false (not-durable) result.
+	// Stop the durability pipeline first: a blocked scope flush returns
+	// false (not durable), and no local persist completes a write after.
 	n.pipe.Close()
 
-	// Wake blocked coordinators and readers so they observe closure.
-	// Each broadcast happens under the waiter's own mutex: a waiter
-	// holds it from its closed-check until Wait, so either it sees the
-	// flag or the broadcast reaches its Wait — no lost wake-up window.
-	pending, scopes := n.collectWaiters()
-	for _, wt := range pending {
-		wt.mu.Lock()
-		wt.cond.Broadcast()
-		wt.mu.Unlock()
-	}
-	for _, sp := range scopes {
-		sp.mu.Lock()
-		sp.cond.Broadcast()
-		sp.mu.Unlock()
-	}
+	// Finish every in-flight write and scope flush with ErrClosed, then
+	// wake record waiters so they observe closure.
+	n.sweep()
 	n.store.Range(func(r *kv.Record) bool {
 		r.Lock()
 		r.Wake()
@@ -404,24 +402,38 @@ func (n *Node) Close() error {
 	return nil
 }
 
-// collectWaiters snapshots every in-flight write transaction and scope
-// flush across the stripes.
-func (n *Node) collectWaiters() ([]*writeTxn, []*scopePersist) {
-	var pending []*writeTxn
+// sweep re-evaluates every in-flight write and scope flush: after a
+// peer failure the acks it owes stop counting, and after Close each
+// finishes with ErrClosed. A write whose busy role is taken is left to
+// its holder, which re-evaluates before letting go.
+//
+//minos:lockorder node.txnStripe.mu < node.writeTxn.mu
+func (n *Node) sweep() {
+	var claimed []*writeTxn
 	for _, s := range n.txns {
 		s.mu.Lock()
 		for _, wt := range s.pending {
-			pending = append(pending, wt)
+			wt.mu.Lock()
+			if !wt.busy {
+				wt.busy = true
+				claimed = append(claimed, wt)
+			}
+			wt.mu.Unlock()
 		}
 		s.mu.Unlock()
 	}
+	for _, wt := range claimed {
+		n.advance(wt)
+	}
 	n.scopeMu.Lock()
-	scopes := make([]*scopePersist, 0, len(n.scopeWait))
-	for _, sp := range n.scopeWait {
-		scopes = append(scopes, sp)
+	scopes := make([]ddp.ScopeID, 0, len(n.scopeWait))
+	for sc := range n.scopeWait {
+		scopes = append(scopes, sc)
 	}
 	n.scopeMu.Unlock()
-	return pending, scopes
+	for _, sc := range scopes {
+		n.checkScope(sc)
+	}
 }
 
 // recvLoop is the delivery goroutine for transports that do not poll
@@ -442,11 +454,13 @@ func (n *Node) recvLoop() {
 // order (the ordering Fig 2's metadata checks rely on) and what makes
 // the offload engine's ownership transfers raceless. Handlers must
 // therefore never block on a condition only a later frame can satisfy:
-// the obsolete-INV spins are punted to their own goroutines and client
-// operations to the frontend's workers. Frame values may borrow
-// transport storage; every retaining path (record apply, scope buffer,
-// log append, vFIFO admission) copies before parking or returning, so
-// nothing outlives the callback.
+// a client operation runs here up to the point where it waits, and
+// completes later on the acknowledgment that finishes it; the rare
+// waits that can only end on a later frame (obsolete spins, a read
+// stalled on an RDLock) are punted to their own goroutines. Frame
+// values may borrow transport storage; every retaining path (record
+// apply, scope buffer, log append, vFIFO admission) copies before
+// parking or returning, so nothing outlives the callback.
 //
 //minos:hotpath
 func (n *Node) handleFrame(f transport.Frame) {
@@ -461,9 +475,6 @@ func (n *Node) handleFrame(f transport.Frame) {
 	case transport.FrameHeartbeat:
 		// noteAlive above is the whole job.
 	case transport.FrameClientRequest:
-		// NEVER execute the operation here: a client op waiting for its
-		// own acks would deadlock against the delivery goroutine it is
-		// running on. admitClient only enqueues (or sheds).
 		n.admitClient(f)
 	case transport.FrameRecoveryRequest:
 		n.spawnRecovery(f.From, f.Since)
@@ -490,10 +501,16 @@ func (n *Node) admitClient(f transport.Frame) {
 // spawnRecovery serves a log-shipping request off the delivery path;
 // recovery is rare and EntriesSince is O(log tail).
 func (n *Node) spawnRecovery(from ddp.NodeID, since uint64) {
+	n.spawn(func() { n.serveRecovery(from, since) })
+}
+
+// spawn runs fn on a goroutine Close waits for: the rare work that must
+// not hold a delivery goroutine.
+func (n *Node) spawn(fn func()) {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		n.serveRecovery(from, since)
+		fn()
 	}()
 }
 
@@ -570,25 +587,17 @@ func (n *Node) addPending(key ddp.Key, ts ddp.Timestamp, wt *writeTxn) {
 	s.mu.Unlock()
 }
 
-// removePending retires a write transaction and recycles its
-// bookkeeping. Taking the stripe lock is the quiescence point: handlers
-// only obtain wt references under it (handleAck holds it for the whole
-// ack update), so once the delete commits no handler can still touch
-// the recycled state. Close's broadcast may race a recycle, but a
-// spurious broadcast on a reused cond is benign — waiters re-check
-// their predicates.
+// retire ends a write transaction. Taking the stripe lock is the
+// quiescence point: events only reach a txn under it (handleAck, sweep),
+// so once the delete commits none can touch what the release recycles.
 //
 //minos:hotpath
-func (n *Node) removePending(key ddp.Key, ts ddp.Timestamp) {
-	s := n.stripeFor(key)
-	k := txnKey{key, ts}
+func (n *Node) retire(wt *writeTxn) {
+	s := n.stripeFor(wt.txn.Key)
 	s.mu.Lock()
-	wt := s.pending[k]
-	delete(s.pending, k)
+	delete(s.pending, txnKey{wt.txn.Key, wt.txn.TS})
 	s.mu.Unlock()
-	if wt != nil {
-		wtPool.Put(wt)
-	}
+	n.release(wt)
 }
 
 // persistThenAck makes the INV's update durable and then sends the
@@ -617,7 +626,9 @@ func (n *Node) persistThenAck(m ddp.Message) {
 // sendDurableAck ships a durable acknowledgment. It is the pipeline's
 // OnAck hook: it runs on the drain engine strictly after the
 // EnqueueAck entry's group commit, so the persist-before-ack order
-// holds with no per-entry closure. A non-zero stamp is the trace start
+// holds with no per-entry closure. An acknowledgment addressed to this
+// node is a coordinator's own persist: it advances the write instead
+// of leaving the node. A non-zero stamp is the trace start
 // taken at enqueue; the follower's durability wait and the ack that
 // follows it are then recorded as two chained spans — the persist
 // (group_commit) span closes before the ack (val) span opens, which the
@@ -626,6 +637,10 @@ func (n *Node) persistThenAck(m ddp.Message) {
 //
 //minos:hotpath
 func (n *Node) sendDurableAck(to ddp.NodeID, kind ddp.MsgKind, key ddp.Key, ts ddp.Timestamp, sc ddp.ScopeID, stamp int64) {
+	if to == n.id {
+		n.handleAck(key, ts, kind, to)
+		return
+	}
 	ack := ddp.Message{Kind: kind, Key: key, TS: ts, Scope: sc, Size: ddp.ControlSize()}
 	if stamp == 0 {
 		n.send(to, ack)
@@ -645,19 +660,11 @@ func (n *Node) sendDurableAck(to ddp.NodeID, kind ddp.MsgKind, key ddp.Key, ts d
 	})
 }
 
-// onPersistBatch runs on the drain engine after each group commit: it
-// counts the drained entries and wakes each touched record once per
-// batch (instead of once per entry) so PersistencySpin waiters observe
-// the new durable timestamps.
-func (n *Node) onPersistBatch(keys []ddp.Key, entries int) {
+// onPersistBatch runs on the drain engine after each group commit and
+// keeps the persist counter exact. No record waits on the log: a write
+// learns of its local persist through its own acknowledgment.
+func (n *Node) onPersistBatch(entries int) {
 	n.Stats.Persists.Add(int64(entries))
-	for _, k := range keys {
-		if r := n.store.Get(k); r != nil {
-			r.Lock()
-			r.Wake()
-			r.Unlock()
-		}
-	}
 }
 
 func (n *Node) String() string {

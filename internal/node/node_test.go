@@ -314,32 +314,56 @@ func TestConcurrentWritersConverge(t *testing.T) {
 }
 
 func TestFailureDetectionUnblocksWrites(t *testing.T) {
-	nodes, net := newCluster(t, 3, ddp.LinSynch, func(c *Config) {
-		c.HeartbeatEvery = 10 * time.Millisecond
-		c.FailAfter = 80 * time.Millisecond
-	})
-	// Healthy write first.
-	if err := nodes[0].Write(1, []byte("pre")); err != nil {
-		t.Fatal(err)
-	}
-	// Partition node 2 away and write again: the write must complete
-	// once the detector declares node 2 failed.
-	net.Disconnect(2)
-	done := make(chan error, 1)
-	go func() { done <- nodes[0].Write(1, []byte("post")) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("write after failure: %v", err)
+	for _, remote := range []bool{false, true} {
+		name := "in-process"
+		if remote {
+			name = "remote"
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("write blocked forever on a failed peer")
-	}
-	if alive := nodes[0].Alive(); alive[2] {
-		t.Error("node 2 should be marked failed")
-	}
-	if v, _ := nodes[1].Read(1); string(v) != "post" {
-		t.Errorf("survivor read %q, want post", v)
+		t.Run(name, func(t *testing.T) {
+			nodes, net := newClientNet(t, 3, ddp.LinSynch, func(c *Config) {
+				c.HeartbeatEvery = 10 * time.Millisecond
+				c.FailAfter = 80 * time.Millisecond
+			})
+			client := net.Endpoint(3)
+			// write returns once node 0 answers: the in-process call
+			// returns, the remote one waits for its response frame.
+			write := func(v string) error {
+				if !remote {
+					return nodes[0].Write(1, []byte(v))
+				}
+				req := transport.ClientRequest{Op: transport.OpClientWrite, Key: 1, Value: []byte(v)}
+				if err := client.Send(0, transport.Frame{Kind: transport.FrameClientRequest, Client: 1, Req: req}); err != nil {
+					return err
+				}
+				if f := <-client.Recv(); f.Resp.Status != transport.StatusOK {
+					return fmt.Errorf("write %q answered %v", v, f.Resp.Status)
+				}
+				return nil
+			}
+			// Healthy write first.
+			if err := write("pre"); err != nil {
+				t.Fatal(err)
+			}
+			// Partition node 2 away and write again: the write must
+			// complete once the detector declares node 2 failed.
+			net.Disconnect(2)
+			done := make(chan error, 1)
+			go func() { done <- write("post") }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("write after failure: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("write blocked forever on a failed peer")
+			}
+			if alive := nodes[0].Alive(); alive[2] {
+				t.Error("node 2 should be marked failed")
+			}
+			if v, _ := nodes[1].Read(1); string(v) != "post" {
+				t.Errorf("survivor read %q, want post", v)
+			}
+		})
 	}
 }
 

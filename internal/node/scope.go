@@ -43,68 +43,62 @@ func (n *Node) Persist(sc ddp.ScopeID) error {
 	if !n.policy.Scoped {
 		return nil
 	}
-	if n.closed.Load() {
-		return ErrClosed
-	}
+	return n.wait(&n.persistScope(sc, client{}).reply)
+}
+
+// persistScope starts the scope flush sc, whose outcome goes to c. It
+// blocks for the local group commit only — as handlePersist does on a
+// follower — and completes in checkScope on the last [ACK_P]sc.
+func (n *Node) persistScope(sc ddp.ScopeID, c client) *scopePersist {
 	followers := n.liveFollowers()
 	sp := &scopePersist{
+		reply:     reply{client: c, cond: sync.NewCond(&n.scopeMu)},
 		followers: followers,
-		got:       make(map[ddp.NodeID]bool),
+		got:       make(map[ddp.NodeID]bool, len(followers)),
 	}
-	sp.cond = sync.NewCond(&sp.mu)
 	n.scopeMu.Lock()
+	sp.entries = n.scopeBuf[sc]
 	n.scopeWait[sc] = sp
 	n.scopeMu.Unlock()
-	defer func() {
-		n.scopeMu.Lock()
-		delete(n.scopeWait, sc)
-		n.scopeMu.Unlock()
-	}()
 
-	req := ddp.Message{Kind: ddp.KindPersist, Scope: sc, Size: ddp.ControlSize()}
-	n.sendAll(followers, req)
-
+	n.sendAll(followers, ddp.Message{Kind: ddp.KindPersist, Scope: sc, Size: ddp.ControlSize()})
 	// Persist this node's buffered writes for the scope as one
-	// pipelined group commit.
-	entries := n.takeScope(sc)
-	if !n.pipe.PersistMany(entries) {
-		return ErrClosed
-	}
+	// pipelined group commit; it fails only on a closing node, which
+	// checkScope answers with ErrClosed.
+	n.pipe.PersistMany(sp.entries)
+	n.scopeMu.Lock()
+	sp.local = true
+	n.scopeMu.Unlock()
+	n.checkScope(sc)
+	return sp
+}
 
-	// Spin for all [ACK_P]sc from live followers.
-	sp.mu.Lock()
-	for {
-		if n.closed.Load() {
-			sp.mu.Unlock()
-			return ErrClosed
-		}
-		done := true
-		for _, f := range sp.followers {
-			if !sp.got[f] && n.isAlive(f) {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
-		}
-		sp.cond.Wait()
+// checkScope completes the scope flush sc once its local flush drained
+// and every live follower acknowledged it — or the node closed. Taking
+// the flush out of scopeWait decides which caller completes it.
+func (n *Node) checkScope(sc ddp.ScopeID) {
+	n.scopeMu.Lock()
+	sp := n.scopeWait[sc]
+	closed := n.closed.Load()
+	done := sp != nil && (closed || sp.local)
+	for i := 0; done && !closed && i < len(sp.followers); i++ {
+		f := sp.followers[i]
+		done = sp.got[f] || !n.isAlive(f)
 	}
-	sp.mu.Unlock()
-
-	// Every node persisted the scope: publish durability locally.
-	for _, e := range entries {
-		r := n.store.GetOrCreate(e.Key)
-		r.Lock()
-		r.Meta.AdvanceGlbDurable(e.TS)
-		r.Wake()
-		r.Unlock()
+	if done {
+		delete(n.scopeWait, sc)
 	}
-	n.dropScope(sc)
-
-	valP := ddp.Message{Kind: ddp.KindValP, Scope: sc, Size: ddp.ControlSize()}
-	n.sendAll(followers, valP)
-	return nil
+	n.scopeMu.Unlock()
+	if !done {
+		return
+	}
+	if closed {
+		n.finish(&sp.reply, ErrClosed)
+		return
+	}
+	n.scopeDurable(sc, sp.entries)
+	n.sendAll(sp.followers, ddp.Message{Kind: ddp.KindValP, Scope: sc, Size: ddp.ControlSize()})
+	n.finish(&sp.reply, nil)
 }
 
 // handlePersist services [PERSIST]sc at a follower: persist every
@@ -118,29 +112,31 @@ func (n *Node) handlePersist(m ddp.Message) {
 	n.send(m.From, ddp.Message{Kind: ddp.KindAckP, Scope: m.Scope, Size: ddp.ControlSize()})
 }
 
-// handleScopeAck records one [ACK_P]sc at the coordinator.
+// handleScopeAck records one [ACK_P]sc at the coordinator; a late ack
+// for a completed flush finds nothing.
 func (n *Node) handleScopeAck(m ddp.Message) {
 	n.scopeMu.Lock()
-	sp := n.scopeWait[m.Scope]
-	n.scopeMu.Unlock()
-	if sp == nil {
-		return // late ack for a completed flush
+	if sp := n.scopeWait[m.Scope]; sp != nil {
+		sp.got[m.From] = true
 	}
-	sp.mu.Lock()
-	sp.got[m.From] = true
-	sp.cond.Broadcast()
-	sp.mu.Unlock()
+	n.scopeMu.Unlock()
+	n.checkScope(m.Scope)
 }
 
-// handleScopeValP completes a scope at a follower: all nodes persisted
-// it, so publish glb_durableTS for its writes and drop the buffer.
+// handleScopeValP completes a scope at a follower.
 func (n *Node) handleScopeValP(m ddp.Message) {
-	for _, e := range n.takeScope(m.Scope) {
+	n.scopeDurable(m.Scope, n.takeScope(m.Scope))
+}
+
+// scopeDurable completes a scope every node persisted: publish
+// glb_durableTS for its writes and drop the buffer.
+func (n *Node) scopeDurable(sc ddp.ScopeID, entries []nvm.Update) {
+	for _, e := range entries {
 		r := n.store.GetOrCreate(e.Key)
 		r.Lock()
 		r.Meta.AdvanceGlbDurable(e.TS)
 		r.Wake()
 		r.Unlock()
 	}
-	n.dropScope(m.Scope)
+	n.dropScope(sc)
 }

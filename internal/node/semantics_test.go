@@ -3,6 +3,7 @@ package node
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -42,6 +43,42 @@ func TestREnfBlocksReadsUntilDurable(t *testing.T) {
 	// And by then the write is durable on the coordinator.
 	if !nodes[0].Log().LocallyDurable(1, ddp.Timestamp{Node: 0, Version: 1}) {
 		t.Error("record read before local durability under REnf")
+	}
+}
+
+// settledGoroutines returns runtime.NumGoroutine once it has held still
+// for a few samples, so goroutines of an earlier test that are still
+// exiting do not count against the next measurement.
+func settledGoroutines() int {
+	last, still := runtime.NumGoroutine(), 0
+	for i := 0; i < 200 && still < 3; i++ {
+		time.Sleep(5 * time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n == last {
+			still++
+		} else {
+			last, still = n, 0
+		}
+	}
+	return last
+}
+
+// TestREnfWritesStartNoGoroutines: a returned Lin-REnf write's
+// durability half is a continuation of its transaction, not a goroutine
+// — 200 writes whose persists are all still pending leave the goroutine
+// count where it was.
+func TestREnfWritesStartNoGoroutines(t *testing.T) {
+	nodes, _ := newCluster(t, 3, ddp.LinREnf, func(c *Config) {
+		c.PersistDelay = 20 * time.Millisecond
+	})
+	before := settledGoroutines()
+	for k := ddp.Key(0); k < 200; k++ {
+		if err := nodes[0].Write(k, []byte("renf")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grew := runtime.NumGoroutine() - before; grew >= 10 {
+		t.Fatalf("200 REnf writes raised the goroutine count by %d", grew)
 	}
 }
 

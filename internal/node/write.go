@@ -2,11 +2,82 @@ package node
 
 import (
 	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"github.com/minos-ddp/minos/internal/ddp"
 	"github.com/minos-ddp/minos/internal/kv"
 	"github.com/minos-ddp/minos/internal/obs"
+	"github.com/minos-ddp/minos/internal/transport"
 )
+
+// client names who an operation answers: a remote client (a response
+// frame to to, echoing id) or, as the zero value, an in-process caller.
+type client struct {
+	remote bool
+	to     ddp.NodeID
+	id     uint64
+	op     transport.ClientOp
+}
+
+// reply is an operation's completion: its client and, for an in-process
+// caller, the outcome and the condition it parks on.
+type reply struct {
+	client
+	cond *sync.Cond
+	done atomic.Bool
+	err  error
+}
+
+// finish delivers an operation's outcome exactly once: a response frame
+// for a remote client, a wake-up for an in-process one.
+func (n *Node) finish(rep *reply, err error) {
+	if rep.remote {
+		n.fe.complete(rep.client, nil, err)
+		return
+	}
+	rep.cond.L.Lock()
+	rep.err = err
+	rep.done.Store(true)
+	rep.cond.Broadcast()
+	rep.cond.L.Unlock()
+}
+
+// Inline-polling wait tuning: an in-process caller spins this many
+// rounds, each draining inbound frames itself (PollInline) or yielding,
+// before parking. Over the ring at zero persist delay a whole write
+// completes within a few rounds.
+const (
+	ackSpinRounds = 256
+	ackPollBudget = 32
+)
+
+// wait parks an in-process caller until its operation finishes. Over an
+// inline-polling transport it first drives the receive path itself, so
+// the acknowledgments that complete the operation run on its goroutine.
+//
+//minos:hotpath
+func (n *Node) wait(rep *reply) error {
+	if n.poller != nil {
+		for spin := 0; spin < ackSpinRounds && !rep.done.Load(); spin++ {
+			// A spinning caller must not sit on staged VAL releases:
+			// its peers' hot-key writes wait on them.
+			n.flushVals()
+			if n.poller.PollInline(ackPollBudget) == 0 {
+				runtime.Gosched()
+			}
+		}
+	}
+	// Parked callers cannot piggyback flushes; drain the stage first so
+	// peers are not left waiting on our releases.
+	n.flushVals()
+	rep.cond.L.Lock()
+	for !rep.done.Load() {
+		rep.cond.Wait()
+	}
+	rep.cond.L.Unlock()
+	return rep.err
+}
 
 // Write performs a client-write: replicate value under key to every
 // node per the configured DDP model (Fig 2 Coordinator). It returns once
@@ -27,8 +98,24 @@ func (n *Node) WriteScoped(key ddp.Key, value []byte, sc ddp.ScopeID) error {
 
 //minos:hotpath
 func (n *Node) writeScoped(key ddp.Key, value []byte, sc ddp.ScopeID) error {
+	wt, err := n.write(key, value, sc, client{})
+	if wt == nil {
+		return err
+	}
+	err = n.wait(&wt.reply)
+	n.release(wt)
+	return err
+}
+
+// write issues a client-write (Fig 2 L4-L18) on the caller's goroutine
+// and hands the transaction to advance; the outcome goes to c. An
+// in-process caller gets the txn to wait on, or nil and the outcome
+// when the write ended before it had one. A remote write never blocks.
+//
+//minos:hotpath
+func (n *Node) write(key ddp.Key, value []byte, sc ddp.ScopeID, c client) (*writeTxn, error) {
 	if n.closed.Load() {
-		return ErrClosed
+		return nil, ErrClosed
 	}
 	n.Stats.Writes.Add(1)
 	tc := n.startTrace(key)
@@ -41,17 +128,15 @@ func (n *Node) writeScoped(key ddp.Key, value []byte, sc ddp.ScopeID) error {
 	ts := n.generateTS(r) // L4
 	tc.setVer(ts.Version)
 	if r.Meta.Obsolete(ts) { // L5
-		n.Stats.ObsoleteWrites.Add(1)
-		err := n.handleObsoleteLocked(r, ts)
 		r.Unlock()
-		return err
+		return nil, n.obsoleteWrite(r, ts, c)
 	}
 	r.SnatchRDLock(ts) // L8
 
 	for r.Meta.WRLock { // L9
 		if n.closed.Load() {
 			r.Unlock()
-			return ErrClosed
+			return nil, ErrClosed
 		}
 		r.Wait()
 	}
@@ -60,14 +145,12 @@ func (n *Node) writeScoped(key ddp.Key, value []byte, sc ddp.ScopeID) error {
 	if r.Meta.Obsolete(ts) { // L10: final timestamp check
 		r.Meta.WRLock = false // L15: release WRLock early
 		r.Wake()
-		n.Stats.ObsoleteWrites.Add(1)
-		err := n.handleObsoleteLocked(r, ts)
 		r.Unlock()
-		return err
+		return nil, n.obsoleteWrite(r, ts, c)
 	}
 
 	followers := n.liveFollowers()
-	wt := n.getWriteTxn(key, ts, followers)
+	wt := n.getWriteTxn(r, key, ts, sc, followers, c, tc)
 	n.addPending(key, ts, wt)
 	tc.mark(obs.PhaseIssue) // timestamp issued, locks held, txn pending
 
@@ -88,90 +171,130 @@ func (n *Node) writeScoped(key ddp.Key, value []byte, sc ddp.ScopeID) error {
 	r.Wake()
 	r.Unlock()
 
-	// Step d (L18 / Fig 3): persist the local update. The persist-enqueue
-	// span covers the local apply plus the pipeline submit; only the
-	// inline model also records a coordinator group-commit span, because
-	// only there does the client path block for the drain.
-	switch n.policy.CoordPersist {
-	case ddp.CoordPersistInline:
-		tc.mark(obs.PhasePersistEnqueue)
-		if !n.pipe.Persist(key, ts, value, sc) {
-			n.removePending(key, ts)
-			return ErrClosed
-		}
-		tc.mark(obs.PhaseGroupCommit)
-	case ddp.CoordPersistBackground:
-		// The pipeline copies the value and drains in the background;
-		// no goroutine per write. waitLocallyDurable picks the result
-		// up later via the batch wake.
-		n.pipe.Enqueue(key, ts, value, sc)
-		tc.mark(obs.PhasePersistEnqueue)
-	case ddp.CoordPersistOnScopeFlush:
+	// Step d (L18 / Fig 3): persist the local update. The pipeline copies
+	// the value; a model that tracks persistency learns of the group
+	// commit through an acknowledgment addressed to this node, which the
+	// drain engine delivers to the transaction (sendDurableAck).
+	switch {
+	case n.policy.CoordPersist == ddp.CoordPersistOnScopeFlush:
 		n.bufferScope(sc, key, ts, value)
-		tc.mark(obs.PhasePersistEnqueue)
+	case n.policy.TracksPersistency:
+		n.pipe.EnqueueAck(key, ts, value, sc, n.id, n.durableAck, 0)
+	default:
+		n.pipe.Enqueue(key, ts, value, sc)
 	}
+	tc.mark(obs.PhasePersistEnqueue)
 
-	// Step e: spin for consistency acknowledgments.
-	if err := n.waitAcks(wt, false); err != nil {
-		n.removePending(key, ts)
-		return err
+	n.advance(wt)
+	if c.remote {
+		return nil, nil
 	}
-	tc.mark(obs.PhaseAckWait)
-	r.Lock()
-	r.Meta.AdvanceGlbVolatile(ts)
-	r.Wake()
-	if n.policy.SendsValAtConsistency() && n.policy.Release == ddp.ReleaseWhenConsistent {
-		r.ReleaseRDLockIfOwner(ts)
-		r.Wake()
-	}
-	r.Unlock()
-	if n.policy.SendsValAtConsistency() {
-		// handleAck may have fanned VAL_C out already, on the final ack;
-		// the CAS makes exactly one of the two broadcasts happen.
-		if wt.valCSent.CompareAndSwap(false, true) {
-			n.sendVal(ddp.KindValC, key, ts, sc, followers)
-		}
-		tc.mark(obs.PhaseVal)
-	}
-
-	if n.policy.Return == ddp.ReturnWhenConsistent {
-		if n.policy.TracksPersistency {
-			// REnf: finish durability off the client's critical path.
-			// The background half runs untraced (nil traceCtx): its spans
-			// would overlap the next client write's, breaking the
-			// non-interleaving invariant the trace format guarantees.
-			n.wg.Add(1)
-			//minos:allow hotpathalloc -- REnf spawns the durability half off the client's critical path; one goroutine per returned write is the model's cost
-			go func() {
-				defer n.wg.Done()
-				n.finishDurable(r, wt, key, ts, sc, followers, nil)
-			}()
-		} else {
-			n.removePending(key, ts)
-		}
-		tc.mark(obs.PhaseCompletion)
-		return nil
-	}
-
-	// Synch / Strict: the response waits for durability everywhere.
-	err := n.finishDurable(r, wt, key, ts, sc, followers, tc)
-	tc.mark(obs.PhaseCompletion)
-	return err
+	return wt, nil
 }
 
-// finishDurable completes the durability half: wait for all persistency
-// acknowledgments and the local persist, publish glb_durableTS, release
-// the RDLock where the model demands, send the durable VAL, retire.
-func (n *Node) finishDurable(r *kv.Record, wt *writeTxn, key ddp.Key, ts ddp.Timestamp, sc ddp.ScopeID, followers []ddp.NodeID, tc *traceCtx) error {
-	defer n.removePending(key, ts)
-	if err := n.waitAcks(wt, true); err != nil {
-		return err
+// obsoleteWrite finishes a write superseded before it issued. A remote
+// write must not hold the delivery goroutine while its superseder
+// completes, so that wait moves to a goroutine that answers the client.
+func (n *Node) obsoleteWrite(r *kv.Record, ts ddp.Timestamp, c client) error {
+	n.Stats.ObsoleteWrites.Add(1)
+	if !c.remote {
+		return n.handleObsolete(r, ts)
 	}
-	tc.mark(obs.PhaseAckWait) // second ack wait: the persistency spin
-	if err := n.waitLocallyDurable(r, key, ts); err != nil {
-		return err
+	n.spawn(func() { n.fe.complete(c, nil, n.handleObsolete(r, ts)) })
+	return nil
+}
+
+// Write-transaction stages: every txn waits for its consistency point;
+// the models that track persistency then wait for its durability point.
+const (
+	awaitConsistent uint8 = iota
+	awaitDurable
+)
+
+// advance is the write transaction's continuation. The caller holds the
+// txn's busy role (claimed under wt.mu, or held since issue): it runs
+// every step the txn is ready for, in order, then drops the role unless
+// a step retired the txn. An event that finds the role taken only
+// records itself; the holder re-checks under wt.mu before letting go,
+// so no event is lost and no step runs twice or concurrently.
+//
+//minos:hotpath
+func (n *Node) advance(wt *writeTxn) {
+	wt.mu.Lock()
+	for n.ready(wt) {
+		wt.mu.Unlock()
+		if n.step(wt) {
+			return
+		}
+		wt.mu.Lock()
 	}
-	tc.mark(obs.PhaseGroupCommit) // local durability point
+	wt.busy = false
+	wt.mu.Unlock()
+}
+
+// ready reports whether the txn's next step can run: consistency once
+// every live follower's consistency ack is in (plus the local persist
+// where it is in the critical path: Fig 2 L18 precedes the L19 spin),
+// durability once every persistency ack and the local persist are, and
+// anything on a closed node, which unwinds. Caller holds wt.mu.
+//
+//minos:hotpath
+func (n *Node) ready(wt *writeTxn) bool {
+	if n.closed.Load() {
+		return true
+	}
+	doneC, doneP := n.acked(wt)
+	if wt.stage == awaitConsistent {
+		return doneC && (wt.persisted || n.policy.CoordPersist != ddp.CoordPersistInline)
+	}
+	return doneP && wt.persisted
+}
+
+// step runs the txn's next step and reports whether it retired the txn.
+// The consistency point publishes glb_volatileTS, releases the RDLock
+// and sends VAL_C where the model says; the durability point publishes
+// glb_durableTS, releases, and sends the durable VAL / VAL_P. The
+// client is answered at the model's Return point.
+//
+//minos:hotpath
+func (n *Node) step(wt *writeTxn) bool {
+	key, ts, r, tc := wt.txn.Key, wt.txn.TS, wt.r, wt.tc
+	if n.closed.Load() {
+		if wt.stage == awaitConsistent || n.policy.Return == ddp.ReturnWhenDurable {
+			n.finish(&wt.reply, ErrClosed)
+		}
+		n.retire(wt)
+		return true
+	}
+	if wt.stage == awaitConsistent {
+		tc.mark(obs.PhaseAckWait)
+		r.Lock()
+		r.Meta.AdvanceGlbVolatile(ts)
+		if n.policy.SendsValAtConsistency() && n.policy.Release == ddp.ReleaseWhenConsistent {
+			r.ReleaseRDLockIfOwner(ts)
+		}
+		r.Wake()
+		r.Unlock()
+		if n.policy.SendsValAtConsistency() {
+			n.sendVal(ddp.KindValC, key, ts, wt.txn.Scope, wt.followers)
+			tc.mark(obs.PhaseVal)
+		}
+		wt.stage = awaitDurable
+		if n.policy.Return == ddp.ReturnWhenConsistent {
+			// The durability half (REnf) runs untraced: its spans would
+			// overlap the client's next write, breaking the trace
+			// format's non-interleaving invariant.
+			tc.mark(obs.PhaseCompletion)
+			wt.tc = nil
+			n.finish(&wt.reply, nil)
+		}
+		if !n.policy.TracksPersistency {
+			n.retire(wt)
+			return true
+		}
+		return false
+	}
+	tc.mark(obs.PhaseGroupCommit) // the durability point
 	r.Lock()
 	r.Meta.AdvanceGlbDurable(ts)
 	if n.policy.Release == ddp.ReleaseWhenDurable || !n.policy.SendsValAtConsistency() {
@@ -180,10 +303,49 @@ func (n *Node) finishDurable(r *kv.Record, wt *writeTxn, key ddp.Key, ts ddp.Tim
 	r.Wake()
 	r.Unlock()
 	if kind, ok := n.policy.DurableValKind(); ok {
-		n.sendVal(kind, key, ts, sc, followers)
+		n.sendVal(kind, key, ts, wt.txn.Scope, wt.followers)
 		tc.mark(obs.PhaseVal)
 	}
-	return nil
+	if n.policy.Return == ddp.ReturnWhenDurable {
+		tc.mark(obs.PhaseCompletion)
+		n.finish(&wt.reply, nil)
+	}
+	n.retire(wt)
+	return true
+}
+
+// handleAck records an acknowledgment of a pending write — a
+// follower's, or (from == this node) the local persist's — and advances
+// the write unless another goroutine holds it. Recording and claiming
+// happen under the stripe lock and only the claim holder retires a
+// txn, so the claimed txn outlives the locks. Acks for a retired txn
+// (from a peer declared failed, or after Close) are discarded.
+//
+//minos:lockorder node.txnStripe.mu < node.writeTxn.mu
+//minos:hotpath
+func (n *Node) handleAck(key ddp.Key, ts ddp.Timestamp, kind ddp.MsgKind, from ddp.NodeID) {
+	s := n.stripeFor(key)
+	s.mu.Lock()
+	wt := s.pending[txnKey{key, ts}]
+	if wt == nil {
+		s.mu.Unlock()
+		return
+	}
+	wt.mu.Lock()
+	if from == n.id {
+		wt.persisted = true
+	} else {
+		// Duplicate acks can occur after failure/recovery races;
+		// errors from re-recording are benign here.
+		_ = wt.txn.RecordAck(kind, from)
+	}
+	claimed := !wt.busy
+	wt.busy = true
+	wt.mu.Unlock()
+	s.mu.Unlock()
+	if claimed {
+		n.advance(wt)
+	}
 }
 
 func (n *Node) sendVal(kind ddp.MsgKind, key ddp.Key, ts ddp.Timestamp, sc ddp.ScopeID, followers []ddp.NodeID) {
@@ -196,61 +358,6 @@ func (n *Node) sendVal(kind ddp.MsgKind, key ddp.Key, ts ddp.Timestamp, sc ddp.S
 	}
 	val := ddp.Message{Kind: kind, Key: key, TS: ts, Scope: sc, Size: ddp.ControlSize()}
 	n.sendAll(followers, val)
-}
-
-// Inline-polling ack-wait tuning: a coordinator spins this many rounds
-// — each one either draining inbound frames itself (PollInline) or
-// yielding the processor — before falling back to the parked wait.
-// Over the ring fabric at zero persist delay the whole INV→ACK round
-// trip completes within a few rounds; the parked path remains the
-// fallback for slow acks and for followers that die mid-write.
-const (
-	ackSpinRounds = 256
-	ackPollBudget = 32
-)
-
-// waitAcks blocks until every live follower acknowledged the volatile
-// update (or, with persistency set, the persist — vacuous for models
-// that do not track persistency). Over an inline-polling transport it
-// first spins on the atomic ack count, driving the receive path itself
-// so the acks it is waiting for are processed on its own goroutine;
-// otherwise, and when the spin budget runs out, it parks on the
-// transaction's condition variable. Followers that fail mid-write stop
-// being waited for when the detector declares them.
-//
-//minos:hotpath
-func (n *Node) waitAcks(wt *writeTxn, persistency bool) error {
-	if n.poller != nil {
-		count, need := &wt.ackCn, int32(len(wt.followers))
-		if persistency {
-			count = &wt.ackPn
-		}
-		for spin := 0; spin < ackSpinRounds; spin++ {
-			if count.Load() >= need {
-				return nil
-			}
-			// A spinning coordinator must not sit on staged VAL
-			// releases: its peers' hot-key writes wait on them.
-			n.flushVals()
-			if n.poller.PollInline(ackPollBudget) == 0 {
-				runtime.Gosched()
-			}
-		}
-	}
-	// Parked waiters cannot piggyback flushes; drain the stage before
-	// blocking so peers are not left waiting on our releases.
-	n.flushVals()
-	wt.mu.Lock()
-	defer wt.mu.Unlock()
-	for {
-		if n.closed.Load() {
-			return ErrClosed
-		}
-		if doneC, doneP := n.acked(wt); persistency && doneP || !persistency && doneC {
-			return nil
-		}
-		wt.cond.Wait()
-	}
 }
 
 // acked reports whether every live follower's consistency (doneC) and
@@ -268,29 +375,16 @@ func (n *Node) acked(wt *writeTxn) (doneC, doneP bool) {
 	return doneC, doneP
 }
 
-// waitLocallyDurable blocks until the local log holds ts (the local
-// persist may run in the background under REnf).
-func (n *Node) waitLocallyDurable(r *kv.Record, key ddp.Key, ts ddp.Timestamp) error {
-	// The durability predicate reads the log shard index under the
-	// record lock; shard mutexes are leaves of the write path.
-	//minos:lockorder kv.Record < nvm.logShard.mu
+// handleObsolete is the paper's handleObsolete(): spin until the
+// superseding write completes consistency-wise (and persistency-wise for
+// the conservative models). If this write's snatch won the lock against
+// an already-finished superseder, release it (liveness: nobody else
+// will). The superseder is read under the lock taken here, as on the
+// follower (followerObsolete): a newer one only implies the first
+// completed.
+func (n *Node) handleObsolete(r *kv.Record, ts ddp.Timestamp) error {
 	r.Lock()
 	defer r.Unlock()
-	for !n.log.LocallyDurable(key, ts) {
-		if n.closed.Load() {
-			return ErrClosed
-		}
-		r.Wait()
-	}
-	return nil
-}
-
-// handleObsoleteLocked is the paper's handleObsolete(): spin until the
-// superseding write completes consistency-wise (and persistency-wise for
-// the conservative models). The caller holds the record lock. If this
-// write's snatch won the lock against an already-finished superseder,
-// release it (liveness: nobody else will).
-func (n *Node) handleObsoleteLocked(r *kv.Record, ts ddp.Timestamp) error {
 	obs := r.Meta.VolatileTS
 	for !r.Meta.ConsistencyDone(obs) {
 		if n.closed.Load() {
@@ -330,19 +424,31 @@ func (n *Node) Read(key ddp.Key) ([]byte, error) {
 //
 //minos:hotpath
 func (n *Node) ReadInto(key ddp.Key, buf []byte) ([]byte, error) {
+	r, v, err := n.readFast(key, buf)
+	if r != nil {
+		return n.readSlow(r, buf)
+	}
+	return v, err
+}
+
+// readFast is the read's lock-free half. It returns the record only
+// when the read must fall back to readSlow.
+//
+//minos:hotpath
+func (n *Node) readFast(key ddp.Key, buf []byte) (*kv.Record, []byte, error) {
 	if n.closed.Load() {
-		return nil, ErrClosed
+		return nil, nil, ErrClosed
 	}
 	n.Stats.Reads.Add(1)
 	r := n.store.Get(key)
 	if r == nil {
 		// Never written or preloaded anywhere: nothing to stall on.
-		return nil, nil
+		return nil, nil, nil
 	}
 	if v, ok := r.ReadInto(buf); ok {
-		return v, nil
+		return nil, v, nil
 	}
-	return n.readSlow(r, buf)
+	return r, nil, nil
 }
 
 // readSlow is the read fallback: take the record mutex and wait out the

@@ -37,7 +37,7 @@ import (
 type Pipeline struct {
 	log     *Log
 	lat     LatencyModel
-	onBatch func(keys []ddp.Key, entries int)
+	onBatch func(entries int)
 	onAck   func(to ddp.NodeID, kind ddp.MsgKind, key ddp.Key, ts ddp.Timestamp, scope ddp.ScopeID, stamp int64)
 
 	// q is the one dFIFO, drained by one worker.
@@ -68,10 +68,9 @@ type PipelineConfig struct {
 	// Lat is the modeled NVM latency charged once per drained batch.
 	Lat LatencyModel
 	// OnBatch, when set, runs on the drain worker after a batch is
-	// appended, with the batch's distinct keys and total entry count.
-	// The node layer uses it to wake each record once per batch and to
+	// appended, with the batch's entry count. The node layer uses it to
 	// keep its persist counters exact.
-	OnBatch func(keys []ddp.Key, entries int)
+	OnBatch func(entries int)
 	// OnAck, when set, runs on the drain worker for every EnqueueAck
 	// entry strictly after its batch is appended — the persist-before-
 	// ack order — carrying the acknowledgment's addressing and the
@@ -134,10 +133,6 @@ type drainQueue struct {
 	spare *drainBatch   // recycled, ready to become cur at next swap
 	bufs  [][]byte      // value-buffer free list
 	wake  chan struct{} // cap 1: at most one pending wake signal
-
-	// keys is the drain worker's distinct-key scratch; only the worker
-	// touches it, outside mu.
-	keys []ddp.Key
 }
 
 // NewPipeline builds a pipeline draining into log and starts its
@@ -448,26 +443,11 @@ func (p *Pipeline) drain() bool {
 		// Bookkeeping and the hooks run before anyone unblocks so a
 		// returned Persist (or a dispatched durable ack) implies the
 		// counters already include its entry.
-		keys := q.keys[:0]
-		for i := range b.entries {
-			e := &b.entries[i]
-			seen := false
-			for _, k := range keys {
-				if k == e.key {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				keys = append(keys, e.key)
-			}
-		}
-		q.keys = keys
 		p.entries.Add(int64(len(b.entries)))
 		p.batches.Add(1)
 		p.batchEntries.Observe(int64(len(b.entries)))
 		if p.onBatch != nil {
-			p.onBatch(keys, len(b.entries))
+			p.onBatch(len(b.entries))
 		}
 		if p.onAck != nil {
 			for i := range b.entries {

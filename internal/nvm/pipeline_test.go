@@ -193,7 +193,7 @@ func TestPersistManySpansTwoBatches(t *testing.T) {
 				Lat: LatencyModel{FixedNs: int64(50 * time.Microsecond)},
 				// The first group commit parks in its hook: appended, but
 				// its generation not yet over, so it is still draining.
-				OnBatch: func([]ddp.Key, int) {
+				OnBatch: func(int) {
 					if held.CompareAndSwap(false, true) {
 						close(draining)
 						<-release

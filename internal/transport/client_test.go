@@ -16,7 +16,6 @@ func TestCodecClientFrames(t *testing.T) {
 		Req: ClientRequest{
 			Op:    OpClientWrite,
 			Key:   0xFEED,
-			Scope: 9,
 			Value: []byte("payload"),
 		},
 	}
@@ -24,7 +23,7 @@ func TestCodecClientFrames(t *testing.T) {
 	if got.Kind != FrameClientRequest || got.From != 7 || got.Client != req.Client {
 		t.Fatalf("request header mismatch: %+v", got)
 	}
-	if got.Req.Op != OpClientWrite || got.Req.Key != 0xFEED || got.Req.Scope != 9 ||
+	if got.Req.Op != OpClientWrite || got.Req.Key != 0xFEED ||
 		!bytes.Equal(got.Req.Value, req.Req.Value) {
 		t.Fatalf("request mismatch: %+v", got.Req)
 	}

@@ -47,11 +47,13 @@ type ClientOp uint8
 const (
 	// OpClientRead reads a key.
 	OpClientRead ClientOp = iota
-	// OpClientWrite writes a key (scoped when Scope != 0 under
-	// <Lin, Scope>).
+	// OpClientWrite writes a key. Under <Lin, Scope> the write joins
+	// the client endpoint's open scope at the serving node.
 	OpClientWrite
-	// OpClientPersist flushes the serving worker's open scope
-	// (<Lin, Scope>); a no-op acknowledgment elsewhere.
+	// OpClientPersist flushes the client endpoint's open scope at the
+	// serving node (<Lin, Scope>): once it answers OK, every write the
+	// endpoint had sent that node before it is durable on every node.
+	// Elsewhere it is a no-op acknowledgment.
 	OpClientPersist
 )
 
@@ -72,7 +74,6 @@ const (
 type ClientRequest struct {
 	Op    ClientOp
 	Key   ddp.Key
-	Scope ddp.ScopeID
 	Value []byte
 }
 
@@ -150,7 +151,6 @@ func AppendFrame(dst []byte, f Frame) []byte {
 	case FrameClientRequest:
 		dst = append(dst, byte(f.Req.Op))
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(f.Req.Key))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(f.Req.Scope))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.Req.Value)))
 		dst = append(dst, f.Req.Value...)
 	case FrameClientResponse:
@@ -405,14 +405,9 @@ func (r *reader) clientRequest() (ClientRequest, error) {
 		return q, err
 	}
 	q.Key = ddp.Key(key)
-	sc, err := r.u64()
-	if err != nil {
-		return q, err
-	}
-	q.Scope = ddp.ScopeID(sc)
 	// Like message values, request values borrow the wire buffer on the
-	// zero-copy decode path; the node copies at admission when it queues
-	// the request past the callback.
+	// zero-copy decode path; the node copies what it keeps before the
+	// callback returns.
 	q.Value, err = r.bytesShared()
 	return q, err
 }
