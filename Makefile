@@ -22,12 +22,12 @@ test-bench:
 	$(GO) test -C benchmark ./...
 
 # Repeats the packages whose tests race real goroutines and sockets
-# (loopback TCP, ring backpressure, the node, the soft-NIC engine, the
-# NVM pipeline's close/drain paths, and the client path the load engine
-# drives through the nodes' delivery goroutines), since one green run
-# does not show they are deterministic.
+# (loopback TCP, ring backpressure, the node, the record waiter lists,
+# the soft-NIC engine, the NVM pipeline's close/drain paths, and the
+# client path the load engine drives through the nodes' delivery
+# goroutines), since one green run does not show they are deterministic.
 flake:
-	$(GO) test -count=20 ./internal/transport ./internal/node ./internal/offload ./internal/nvm ./internal/loadgen
+	$(GO) test -count=20 ./internal/transport ./internal/node ./internal/kv ./internal/offload ./internal/nvm ./internal/loadgen
 
 # The repo's benchmark (BENCHMARK.json): four workloads over a live
 # 5-node cluster, ~20 s each; builds into the git-ignored .bench_build/.

@@ -5,8 +5,12 @@
 //
 // The store is used by both runtimes. The simulated runtime accesses it
 // single-threaded (the kernel serializes processes), while the live
-// runtime locks per record; Record therefore embeds a mutex and a
-// condition variable for the paper's spin primitives.
+// runtime locks per record; Record therefore embeds a mutex, which in
+// the live runtime is also the paper's WRLock (every local write to the
+// record happens in one hold of it), and a short list of waiters, the
+// live form of the paper's spin primitives: an operation that must wait
+// for the record's metadata parks a plain value here, and whoever
+// changes that metadata fires it.
 //
 // Since the lock-free read path (DESIGN.md D12) the live runtime has a
 // second access discipline layered on top: every value publication goes
@@ -45,22 +49,13 @@ type valWords struct {
 // Publish/SetValue and the RDLock wrappers; the write side always runs
 // under mu, the read side (ReadInto) never does. Value remains a plain
 // under-mutex copy of the newest published value, kept for the slow
-// read path, snapshots, and the single-threaded simulator.
+// read path and the single-threaded simulator.
 type Record struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 
 	Key   ddp.Key
 	Value []byte
 	Meta  ddp.Meta
-
-	// Issued is the coordinator-local high-water mark of timestamp
-	// versions handed out for this key (Fig 2 L4). It can run ahead of
-	// Meta.VolatileTS while writes are in flight. Guarded by mu; only
-	// the record's home coordinator advances it, so keeping it on the
-	// record (instead of a separate striped map) makes timestamp
-	// generation free once the record lock is held.
-	Issued ddp.Version
 
 	// seq is the seqlock word: odd while a publication is in flight.
 	seq atomic.Uint64
@@ -75,12 +70,42 @@ type Record struct {
 	// words points at the atomic word buffer holding the published
 	// value. Replaced (never resized in place) when capacity grows.
 	words atomic.Pointer[valWords]
+
+	// waiters are the operations parked on the record, guarded by mu;
+	// nwaiters mirrors their count for Parked, which reads it without mu.
+	waiters  []Waiter
+	nwaiters atomic.Int32
+}
+
+// Until is the condition a Waiter waits for.
+type Until uint8
+
+const (
+	UntilUnlocked   Until = iota // the RDLock is free: the §III-D read stall
+	UntilConsistent              // Obs is consistent: ConsistencySpin (Fig 2 L6, L28)
+	UntilDurable                 // Obs is durable: PersistencySpin (Fig 2 L7, L29)
+)
+
+// Waiter is one operation parked on a record until the record's
+// metadata satisfies Until for the superseding write Obs. It is a plain
+// value that the record keeps under its lock until Fire hands it back.
+// The other fields are the operation's own state, which the store
+// carries but never reads: its write (TS, Scope), the node it answers
+// (an INV's coordinator, or a remote client, with its request id), and
+// an in-process caller's completion, of the owner's type.
+type Waiter struct {
+	Until  Until
+	Obs    ddp.Timestamp
+	TS     ddp.Timestamp
+	Scope  ddp.ScopeID
+	To     ddp.NodeID
+	Client uint64
+	Reply  any
 }
 
 // newRecord returns an initialized record for key.
 func newRecord(key ddp.Key) *Record {
 	r := &Record{Key: key, Meta: ddp.NewMeta()}
-	r.cond = sync.NewCond(&r.mu)
 	r.vlen.Store(-1)
 	return r
 }
@@ -91,13 +116,50 @@ func (r *Record) Lock() { r.mu.Lock() }
 // Unlock releases the record's mutex.
 func (r *Record) Unlock() { r.mu.Unlock() }
 
-// Wait blocks on the record's condition variable; the caller must hold
-// the lock. Used to implement ConsistencySpin / PersistencySpin and
-// read stalls without busy-waiting.
-func (r *Record) Wait() { r.cond.Wait() }
+// Park registers w, whose condition the caller found false; the caller
+// holds the record lock, and every later change of the metadata that
+// can satisfy it is followed by Fire. Left unannotated: the append is
+// the list's only allocation, and only when it grows.
+func (r *Record) Park(w Waiter) {
+	r.waiters = append(r.waiters, w)
+	r.nwaiters.Store(int32(len(r.waiters)))
+}
 
-// Wake wakes all waiters on the record; the caller must hold the lock.
-func (r *Record) Wake() { r.cond.Broadcast() }
+// Parked reports how many waiters the record holds. It takes no lock:
+// a caller that changed the metadata under the lock and reads zero
+// after releasing it has nothing to fire, because a waiter parked after
+// the change was checked against it.
+func (r *Record) Parked() int { return int(r.nwaiters.Load()) }
+
+// Fire moves every waiter whose condition now holds — every waiter,
+// when all is set (a closing node ends them all) — from the record onto
+// ready and returns it; the rest stay parked, in order. The caller
+// holds the record lock and acts on ready once it has released it.
+func (r *Record) Fire(ready []Waiter, all bool) []Waiter {
+	kept := r.waiters[:0]
+	for _, w := range r.waiters {
+		if all || r.holds(w) {
+			ready = append(ready, w)
+		} else {
+			kept = append(kept, w)
+		}
+	}
+	clear(r.waiters[len(kept):]) // drop the fired waiters' references
+	r.waiters = kept
+	r.nwaiters.Store(int32(len(kept)))
+	return ready
+}
+
+func (r *Record) holds(w Waiter) bool {
+	switch w.Until {
+	case UntilUnlocked:
+		return !r.Meta.RDLocked()
+	case UntilConsistent:
+		return r.Meta.ConsistencyDone(w.Obs)
+	default:
+		return r.Meta.PersistencyDone(w.Obs)
+	}
+}
 
 // SnatchRDLock is the paper's "Snatch RDLock" (§III-B) through the
 // seqlock's blocked mirror: the mirror is raised before the metadata
@@ -465,56 +527,6 @@ func (s *Store) Range(fn func(*Record) bool) {
 			}
 		}
 	}
-}
-
-// Snapshot captures key → (value, volatileTS) for every record, used by
-// recovery to bring a re-inserted node up to date (§III-E).
-type Snapshot struct {
-	Entries []SnapshotEntry
-}
-
-// SnapshotEntry is one record's durable state in a snapshot.
-type SnapshotEntry struct {
-	Key   ddp.Key
-	Value []byte
-	TS    ddp.Timestamp
-}
-
-// Snapshot returns a point-in-time copy of the store's records. Only
-// the record being copied is locked — never a shard.
-func (s *Store) Snapshot() Snapshot {
-	var snap Snapshot
-	s.Range(func(r *Record) bool {
-		r.Lock()
-		snap.Entries = append(snap.Entries, SnapshotEntry{
-			Key:   r.Key,
-			Value: append([]byte(nil), r.Value...),
-			TS:    r.Meta.VolatileTS,
-		})
-		r.Unlock()
-		return true
-	})
-	return snap
-}
-
-// ApplySnapshot installs every entry newer than the local copy. Obsolete
-// entries are skipped, mirroring the log-apply obsoleteness check.
-// It returns how many entries were applied.
-func (s *Store) ApplySnapshot(snap Snapshot) int {
-	applied := 0
-	for _, e := range snap.Entries {
-		r := s.GetOrCreate(e.Key)
-		r.Lock()
-		if r.Meta.VolatileTS.Less(e.TS) {
-			r.Publish(e.Value, e.TS)
-			r.Meta.AdvanceGlbVolatile(e.TS)
-			r.Meta.AdvanceGlbDurable(e.TS)
-			applied++
-		}
-		r.Wake()
-		r.Unlock()
-	}
-	return applied
 }
 
 func (s *Store) String() string {

@@ -2,7 +2,6 @@ package kv
 
 import (
 	"bytes"
-	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -84,35 +83,6 @@ func TestConcurrentGetOrCreate(t *testing.T) {
 		if r != records[0] {
 			t.Fatal("concurrent GetOrCreate returned distinct records")
 		}
-	}
-}
-
-func TestSnapshotApply(t *testing.T) {
-	src := NewStore(4)
-	for i := 0; i < 10; i++ {
-		r := src.GetOrCreate(ddp.Key(i))
-		r.Value = []byte(fmt.Sprintf("v%d", i))
-		r.Meta.ApplyVolatile(ddp.Timestamp{Node: 0, Version: ddp.Version(i + 1)})
-	}
-	dst := NewStore(4)
-	// dst already has a NEWER version of key 3: must not regress.
-	r3 := dst.GetOrCreate(3)
-	r3.Value = []byte("newer")
-	r3.Meta.ApplyVolatile(ddp.Timestamp{Node: 1, Version: 100})
-
-	applied := dst.ApplySnapshot(src.Snapshot())
-	if applied != 9 {
-		t.Fatalf("applied %d entries, want 9 (key 3 obsolete)", applied)
-	}
-	if string(dst.Get(3).Value) != "newer" {
-		t.Fatal("snapshot apply regressed a newer local record")
-	}
-	if string(dst.Get(5).Value) != "v5" {
-		t.Fatal("snapshot apply missed key 5")
-	}
-	got := dst.Get(5).Meta
-	if got.GlbDurableTS != (ddp.Timestamp{Node: 0, Version: 6}) {
-		t.Fatal("snapshot apply must advance glb_durableTS (entries are durable)")
 	}
 }
 

@@ -551,7 +551,7 @@ func unlocksKey(n ast.Node, ls lockSite) bool {
 
 // transfersOwnership reports whether n passes the locked value itself to
 // a callee as an explicit argument — the convention for "callee
-// unlocks" handoffs (e.g. followerObsolete(r, m) with r locked).
+// unlocks" handoffs (e.g. obsoleteAck(r, w) with r locked).
 func transfersOwnership(n ast.Node, ls lockSite) bool {
 	found := false
 	walkSameFunc(n, func(m ast.Node) bool {

@@ -94,7 +94,8 @@ func (n *Node) checkTimeouts() {
 // onPeerFailed advances everything that was waiting on the failed peer:
 // pending write transactions stop expecting its acknowledgments, scope
 // flushes stop expecting its [ACK_P]sc, and read locks owned by writes
-// it coordinated are released — those writes can never validate.
+// it coordinated are released — those writes can never validate — which
+// fires the reads stalled on them.
 func (n *Node) onPeerFailed(id ddp.NodeID) {
 	n.Stats.PeersFailed.Add(1)
 	n.sweep()
@@ -106,9 +107,9 @@ func (n *Node) onPeerFailed(id ddp.NodeID) {
 		r.Lock()
 		if r.Meta.RDLockOwner.Node == id {
 			r.ForceReleaseRDLock()
-			r.Wake()
 		}
 		r.Unlock()
+		n.fire(r, false)
 		return true
 	})
 }
@@ -158,8 +159,8 @@ func (n *Node) applyRecovery(entries []transport.LogEntry) {
 			r.Meta.AdvanceGlbDurable(e.TS)
 			applied++
 		}
-		r.Wake()
 		r.Unlock()
+		n.fire(r, false)
 	}
 	if applied > 0 {
 		n.Stats.Recoveries.Add(1)

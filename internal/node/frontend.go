@@ -4,15 +4,17 @@ import (
 	"sync/atomic"
 
 	"github.com/minos-ddp/minos/internal/ddp"
+	"github.com/minos-ddp/minos/internal/kv"
 	"github.com/minos-ddp/minos/internal/obs"
 	"github.com/minos-ddp/minos/internal/transport"
 )
 
 // frontend is the node's remote-client admission stage. It runs each
 // client operation at admission, on the delivery goroutine, through the
-// paths local callers use: a read answers from the seqlock, a write
-// issues and is answered by whichever goroutine advances it to the
-// model's Return point, a scope persist on its last [ACK_P]sc. At most
+// paths local callers use: a read answers from the seqlock, or parks on
+// the record while an RDLock stalls it and is answered by the release,
+// a write issues and is answered by whichever goroutine advances it to
+// the model's Return point, a scope persist on its last [ACK_P]sc. At most
 // window operations are in flight; a request beyond that is shed with
 // an explicit StatusShed response — never silently dropped or retried —
 // the back-pressure signal the open-loop load harness accounts for.
@@ -62,11 +64,7 @@ func (fe *frontend) admit(f transport.Frame) {
 	case transport.OpClientRead:
 		r, v, err := n.readFast(f.Req.Key, fe.readBuf)
 		if r != nil {
-			// Stalled on an RDLock whose release is a later frame.
-			n.spawn(func() {
-				v, err := n.readSlow(r, nil)
-				fe.complete(c, v, err)
-			})
+			fe.readStalled(r, c)
 			return
 		}
 		if v != nil {
@@ -102,6 +100,16 @@ func (fe *frontend) scope(from ddp.NodeID) ddp.ScopeID {
 		fe.scopes[from] = sc
 	}
 	return sc
+}
+
+// readStalled answers remote read c from r once r's RDLock is free:
+// now, or when the release fires its waiter. The value goes out in a
+// fresh buffer, never readBuf: the release may run on a soft-NIC core.
+func (fe *frontend) readStalled(r *kv.Record, c client) {
+	w := kv.Waiter{Until: kv.UntilUnlocked, To: c.to, Client: c.id}
+	if v, parked, err := fe.n.readOrPark(r, w, nil); !parked {
+		fe.complete(c, v, err)
+	}
 }
 
 // complete answers an admitted operation.

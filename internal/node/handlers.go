@@ -8,10 +8,11 @@ import (
 // handleMessage dispatches one protocol message. It runs wherever the
 // message's key is currently owned — the delivery goroutine
 // (handleFrame) or a soft-NIC core — and either way messages for one
-// record arrive here in transport order; handlers must not block on
-// conditions that only a later same-key message can satisfy (the
-// obsolete spins are punted to their own goroutines for exactly that
-// reason). Both placements run the same handlers, persists included.
+// record arrive here in transport order; handlers never block on a
+// condition that only a later same-key message can satisfy: an INV
+// that must wait for its superseder parks a waiter on the record, which
+// the superseder's VAL fires. Both placements run the same handlers,
+// persists included.
 //
 //minos:hotpath
 func (n *Node) handleMessage(m ddp.Message) {
@@ -58,9 +59,11 @@ func (n *Node) handleInv(m ddp.Message) {
 }
 
 // applyInv is the volatile half of the Follower algorithm (Fig 2
-// L26-37): the obsolete checks, the RDLock snatch, the WRLock-guarded
-// publish. A false return means the INV took the obsolete path (the
-// spawned spin owns the acknowledgment) or the node closed mid-apply.
+// L26-37): the obsolete check, the RDLock snatch, the publish. The
+// record mutex is the WRLock (L32, L36): the publish happens in the
+// same hold as the check, so the INV cannot turn obsolete in between
+// (L33, L37). A false return means the INV took the obsolete path,
+// whose acknowledgments obsoleteAck sends.
 //
 //minos:hotpath
 func (n *Node) applyInv(m ddp.Message) bool {
@@ -69,91 +72,52 @@ func (n *Node) applyInv(m ddp.Message) bool {
 
 	r.Lock()
 	if r.Meta.Obsolete(m.TS) { // L27
-		r.Unlock()
-		n.spawnObsolete(r, m)
+		n.obsoleteAck(r, kv.Waiter{
+			Until: kv.UntilConsistent, Obs: r.Meta.VolatileTS,
+			TS: m.TS, Scope: m.Scope, To: m.From,
+		})
 		return false
 	}
-	r.SnatchRDLock(m.TS) // L31
-
-	for r.Meta.WRLock { // L32
-		if n.closed.Load() {
-			r.Unlock()
-			return false
-		}
-		r.Wait()
-	}
-	r.Meta.WRLock = true
-
-	if r.Meta.Obsolete(m.TS) { // L33/L37
-		r.Meta.WRLock = false
-		r.Wake()
-		r.Unlock()
-		n.spawnObsolete(r, m)
-		return false
-	}
-
+	r.SnatchRDLock(m.TS)     // L31
 	r.Publish(m.Value, m.TS) // L34-35: update LLC (seqlocked)
-	r.Meta.WRLock = false    // L36
-	r.Wake()
 	r.Unlock()
 	return true
 }
 
-// spawnObsolete runs the obsolete-INV path on its own goroutine: its
-// spins wait for the superseding write's VAL, which is a same-key
-// message that would otherwise sit behind this handler on the same
-// delivery goroutine. Obsolete INVs only occur under write contention,
-// so the goroutine is the rare case, not the common one.
-func (n *Node) spawnObsolete(r *kv.Record, m ddp.Message) {
-	n.spawn(func() { n.followerObsolete(r, m) })
-}
-
-// followerObsolete handles an obsolete INV (Fig 2 L27-30): spin until
-// the superseding write completes, then acknowledge as if done.
-// Re-reading VolatileTS after taking the lock is safe: it can only
-// have advanced past the superseder, and waiting on a yet-newer write
-// still implies the original superseder completed.
-func (n *Node) followerObsolete(r *kv.Record, m ddp.Message) {
-	r.Lock()
-	obs := r.Meta.VolatileTS
-	for !r.Meta.ConsistencyDone(obs) {
-		if n.closed.Load() {
+// obsoleteAck acknowledges an obsolete INV (Fig 2 L27-30) as far as r's
+// metadata allows: ACK_C (split-ack models) once the superseder w.Obs is
+// consistent (L28), then Synch's ACK, or ACK_P where the model spins on
+// it, once w.Obs is durable (L29). A stage that cannot finish yet parks
+// w, and the release that finishes it fires w back here. The INV never
+// took the RDLock (it left before L31). The caller holds r's lock;
+// obsoleteAck releases it.
+func (n *Node) obsoleteAck(r *kv.Record, w kv.Waiter) {
+	m := ddp.Message{Key: r.Key, TS: w.TS, Scope: w.Scope, From: w.To}
+	ackC := false
+	if w.Until == kv.UntilConsistent {
+		if !r.Meta.ConsistencyDone(w.Obs) { // L28
+			n.park(r, w)
 			r.Unlock()
 			return
 		}
-		r.Wait()
+		w.Until = kv.UntilDurable
+		ackC = n.policy.SeparateAcks
 	}
-	if r.ReleaseRDLockIfOwner(m.TS) {
-		// Same liveness guard as the coordinator: an obsolete write that
-		// won the lock after the superseder finished must free it.
-		r.Wake()
-	}
-	if !n.policy.SeparateAcks {
-		// Synch: both spins, then the combined ACK.
-		for !r.Meta.PersistencyDone(obs) {
-			if n.closed.Load() {
-				r.Unlock()
-				return
-			}
-			r.Wait()
-		}
-		r.Unlock()
-		n.sendAck(m, ddp.KindAck)
-		return
+	spinP := !n.policy.SeparateAcks || n.policy.PersistencySpinOnObsolete && n.policy.TracksPersistency
+	durable := spinP && r.Meta.PersistencyDone(w.Obs) // L29
+	if spinP && !durable {
+		n.park(r, w)
 	}
 	r.Unlock()
-	n.sendAck(m, ddp.KindAckC)
-	if n.policy.PersistencySpinOnObsolete && n.policy.TracksPersistency {
-		r.Lock()
-		for !r.Meta.PersistencyDone(obs) {
-			if n.closed.Load() {
-				r.Unlock()
-				return
-			}
-			r.Wait()
-		}
-		r.Unlock()
+	if ackC {
+		n.sendAck(m, ddp.KindAckC)
+	}
+	switch {
+	case !durable:
+	case n.policy.SeparateAcks:
 		n.sendAck(m, ddp.KindAckP)
+	default:
+		n.sendAck(m, ddp.KindAck)
 	}
 }
 
@@ -164,11 +128,11 @@ func (n *Node) sendAck(m ddp.Message, kind ddp.MsgKind) {
 	})
 }
 
-// handleVal applies a VAL/VAL_C/VAL_P at a follower (Fig 2 L41-44).
+// handleVal applies a VAL/VAL_C/VAL_P at a follower (Fig 2 L41-44) and
+// fires the waiters its release satisfies.
 func (n *Node) handleVal(m ddp.Message) {
 	r := n.store.GetOrCreate(m.Key)
 	r.Lock()
-	defer r.Unlock()
 	switch m.Kind {
 	case n.policy.FollowerReleaseKind:
 		r.Meta.AdvanceGlbVolatile(m.TS)
@@ -179,5 +143,6 @@ func (n *Node) handleVal(m ddp.Message) {
 	case ddp.KindValP:
 		r.Meta.AdvanceGlbDurable(m.TS)
 	}
-	r.Wake()
+	r.Unlock()
+	n.fire(r, false)
 }

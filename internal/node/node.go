@@ -135,13 +135,11 @@ type scopePersist struct {
 	local     bool // the coordinator's own flush drained
 }
 
-// txnStripeCount stripes the coordinator's transaction table (pending
-// writes and issued versions); power of two for mask indexing.
+// txnStripeCount stripes the coordinator's transaction table; power of
+// two for mask indexing.
 const txnStripeCount = 64
 
 // txnStripe is one stripe of the coordinator's transaction table.
-// (Issued-version tracking lives on kv.Record.Issued, under the record
-// lock the write path already holds.)
 type txnStripe struct {
 	mu      sync.Mutex
 	pending map[txnKey]*writeTxn
@@ -225,6 +223,13 @@ type Node struct {
 	valBatches *obs.Counter
 	valsStaged *obs.Counter
 
+	// parked counts the waiters parked on records now, waiterPeak
+	// ("record_waiters") its high-water mark; waitersFired counts
+	// those taken off again (by a release, or by Close).
+	parked       atomic.Int64
+	waiterPeak   *obs.Gauge
+	waitersFired *obs.Counter
+
 	// Stats counts protocol events for observability and tests.
 	Stats Stats
 }
@@ -232,6 +237,8 @@ type Node struct {
 // Stats exposes the node's protocol counters. The fields are
 // registry-backed instruments (they appear in snapshots under the
 // "node." prefix); Add/Load keep the historical atomic surface.
+// ObsoleteWrites stays zero: a coordinator's own write is never
+// obsolete (generateTS).
 type Stats struct {
 	Writes         *obs.Counter
 	Reads          *obs.Counter
@@ -294,6 +301,8 @@ func New(cfg Config, tr transport.Transport) *Node {
 	n.heartbeats = n.obs.Counter("heartbeats_sent")
 	n.valBatches = n.obs.Counter("val_batches")
 	n.valsStaged = n.obs.Counter("vals_staged")
+	n.waiterPeak = n.obs.Gauge("record_waiters")
+	n.waitersFired = n.obs.Counter("waiters_fired")
 	n.tracer = cfg.Tracer
 	n.pipe = nvm.NewPipeline(n.log, nvm.PipelineConfig{
 		// PersistDelay is a flat per-device-write cost, matching the
@@ -370,7 +379,7 @@ func (n *Node) Start() {
 	}
 }
 
-// Close shuts the node down, waking every blocked operation.
+// Close shuts the node down, failing every operation still waiting.
 func (n *Node) Close() error {
 	if !n.closed.CompareAndSwap(false, true) {
 		return nil
@@ -383,18 +392,14 @@ func (n *Node) Close() error {
 	n.pipe.Close()
 
 	// Finish every in-flight write and scope flush with ErrClosed, then
-	// wake record waiters so they observe closure.
+	// fail every waiter parked on a record; park refuses new ones from
+	// here on. No handler waits on a record, so the offload engine's
+	// cores need none of this to drain and exit.
 	n.sweep()
 	n.store.Range(func(r *kv.Record) bool {
-		r.Lock()
-		r.Wake()
-		r.Unlock()
+		n.fire(r, true)
 		return true
 	})
-	// The offload engine closes after the record wakes: a NIC core
-	// blocked in a handler's record wait needs the wake (and the closed
-	// flag it re-checks) to unwind before the engine's WaitGroup can
-	// drain.
 	if n.off != nil {
 		n.off.Close()
 	}
@@ -455,9 +460,9 @@ func (n *Node) recvLoop() {
 // the offload engine's ownership transfers raceless. Handlers must
 // therefore never block on a condition only a later frame can satisfy:
 // a client operation runs here up to the point where it waits, and
-// completes later on the acknowledgment that finishes it; the rare
-// waits that can only end on a later frame (obsolete spins, a read
-// stalled on an RDLock) are punted to their own goroutines. Frame
+// completes later on the acknowledgment that finishes it; an obsolete
+// INV's spins and a read stalled on an RDLock park a waiter on the
+// record instead, and the release that ends the wait resumes it. Frame
 // values may borrow transport storage; every retaining path (record
 // apply, scope buffer, log append, vFIFO admission) copies before
 // parking or returning, so nothing outlives the callback.
@@ -514,6 +519,51 @@ func (n *Node) spawn(fn func()) {
 	}()
 }
 
+// park parks w on r, whose lock the caller holds, and reports whether
+// it did: not on a closing node, where no Close would ever fail w.
+func (n *Node) park(r *kv.Record, w kv.Waiter) bool {
+	if n.closed.Load() {
+		return false
+	}
+	r.Park(w)
+	n.waiterPeak.Max(n.parked.Add(1))
+	return true
+}
+
+// fire resumes the waiters on r that a change to its metadata
+// satisfied; the caller made the change under r's lock and has just
+// released it, so a record with no waiters costs one atomic load. A
+// closing node resumes every waiter, under the lock that orders it
+// against park's closed check: each re-runs its step, park refuses it,
+// and it ends with ErrClosed (a read) or no acknowledgment (an INV).
+func (n *Node) fire(r *kv.Record, closing bool) {
+	if !closing && r.Parked() == 0 {
+		return
+	}
+	var buf [4]kv.Waiter
+	r.Lock()
+	ready := r.Fire(buf[:0], closing)
+	r.Unlock()
+	n.parked.Add(-int64(len(ready)))
+	n.waitersFired.Add(int64(len(ready)))
+	for _, w := range ready {
+		n.resume(r, w)
+	}
+}
+
+// resume runs a fired waiter's next step.
+func (n *Node) resume(r *kv.Record, w kv.Waiter) {
+	switch {
+	case w.Reply != nil: // an in-process read, which then reads again
+		n.finish(w.Reply.(*reply), nil)
+	case w.Until == kv.UntilUnlocked: // a remote read
+		n.fe.readStalled(r, client{remote: true, to: w.To, id: w.Client, op: transport.OpClientRead})
+	default: // an obsolete INV
+		r.Lock()
+		n.obsoleteAck(r, w)
+	}
+}
+
 // send transmits a protocol message; transport failures are left to the
 // failure detector.
 func (n *Node) send(to ddp.NodeID, m ddp.Message) {
@@ -552,19 +602,15 @@ func (n *Node) stripeFor(key ddp.Key) *txnStripe {
 	return n.txns[key.Hash()>>32&(txnStripeCount-1)]
 }
 
-// generateTS issues a unique timestamp for a write to key; the caller
-// holds the record lock, which guards the record's issued-version
-// high-water mark — no additional lock and no map on the path.
+// generateTS issues a unique timestamp for a write to r (Fig 2 L4): one
+// version above volatileTS. The caller holds the record lock and
+// publishes the write before releasing it, so volatileTS is the
+// high-water mark of every version issued here, and the write is never
+// obsolete (L5, L10).
 //
 //minos:hotpath
 func (n *Node) generateTS(r *kv.Record) ddp.Timestamp {
-	v := r.Meta.VolatileTS.Version
-	if r.Issued > v {
-		v = r.Issued
-	}
-	v++
-	r.Issued = v
-	return ddp.Timestamp{Node: n.id, Version: v}
+	return ddp.Timestamp{Node: n.id, Version: r.Meta.VolatileTS.Version + 1}
 }
 
 // liveFollowers returns the followers currently considered alive. The

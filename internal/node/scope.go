@@ -43,7 +43,7 @@ func (n *Node) Persist(sc ddp.ScopeID) error {
 	if !n.policy.Scoped {
 		return nil
 	}
-	return n.wait(&n.persistScope(sc, client{}).reply)
+	return n.wait(&n.persistScope(sc, client{}).reply, true)
 }
 
 // persistScope starts the scope flush sc, whose outcome goes to c. It
@@ -129,14 +129,15 @@ func (n *Node) handleScopeValP(m ddp.Message) {
 }
 
 // scopeDurable completes a scope every node persisted: publish
-// glb_durableTS for its writes and drop the buffer.
+// glb_durableTS for its writes, firing the waiters that satisfies, and
+// drop the buffer.
 func (n *Node) scopeDurable(sc ddp.ScopeID, entries []nvm.Update) {
 	for _, e := range entries {
 		r := n.store.GetOrCreate(e.Key)
 		r.Lock()
 		r.Meta.AdvanceGlbDurable(e.TS)
-		r.Wake()
 		r.Unlock()
+		n.fire(r, false)
 	}
 	n.dropScope(sc)
 }
