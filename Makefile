@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-bench flake race lint vet check bench bench-smoke live-smoke bench-scale clean
+.PHONY: all build test test-bench flake race race-hot lint vet check bench bench-smoke live-smoke bench-scale clean
 
 all: build
 
@@ -38,6 +38,13 @@ bench:
 # 10-20x slower under -race; the generous timeout is deliberate.
 race:
 	$(GO) test -race -timeout 45m ./...
+
+# The race detector over the packages whose goroutines share the hot
+# path (the NVM pipeline's worker and inline commits, the node's
+# delivery goroutines, the transports), repeated: short enough for
+# every CI run, unlike the whole-module race pass.
+race-hot:
+	$(GO) test -race -count=3 ./internal/nvm ./internal/node ./internal/transport
 
 # go vet plus the protocol/determinism analyzers (internal/lint). The
 # full nine-analyzer suite runs whole-program (facts flow across

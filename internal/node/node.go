@@ -175,6 +175,10 @@ type Node struct {
 	store *kv.Store
 	log   *nvm.Log
 	pipe  *nvm.Pipeline
+	// commitInline: a client waits on the durable acks (Synch, Strict),
+	// so the delivery goroutine commits the persists it defers itself,
+	// at the end of each receive burst (Flush).
+	commitInline bool
 	// off is the soft-NIC offload engine (MINOS-O); nil runs pure
 	// MINOS-B, every message on the delivery goroutine.
 	off *offload.Engine
@@ -269,6 +273,7 @@ func New(cfg Config, tr transport.Transport) *Node {
 	for i := range n.txns {
 		n.txns[i] = &txnStripe{pending: make(map[txnKey]*writeTxn)}
 	}
+	n.commitInline = n.policy.Return == ddp.ReturnWhenDurable
 	n.durableAck = ddp.KindAck
 	if n.policy.SeparateAcks {
 		n.durableAck = ddp.KindAckP
@@ -362,6 +367,9 @@ func (n *Node) Collect(s *obs.Snapshot) { n.obs.Collect(s) }
 func (n *Node) Start() {
 	if n.poller != nil {
 		n.poller.SetHandler(n.handleFrame)
+		if n.commitInline {
+			n.poller.SetBurstEnd(n.pipe.Flush)
+		}
 	} else {
 		n.wg.Add(1)
 		go n.recvLoop()
@@ -442,10 +450,19 @@ func (n *Node) sweep() {
 }
 
 // recvLoop is the delivery goroutine for transports that do not poll
-// inline (mem, TCP): it drains the receive channel through handleFrame.
+// inline (mem, TCP): it drains the receive channel through handleFrame,
+// flushing the burst's deferred persists whenever the channel is empty.
 func (n *Node) recvLoop() {
 	defer n.wg.Done()
-	for f := range n.tr.Recv() {
+	rx := n.tr.Recv()
+	for {
+		if n.commitInline && len(rx) == 0 {
+			n.pipe.Flush()
+		}
+		f, ok := <-rx
+		if !ok {
+			return
+		}
 		n.handleFrame(f)
 	}
 }
@@ -652,10 +669,11 @@ func (n *Node) retire(wt *writeTxn) {
 // for the NVM latency. It runs the same on the delivery goroutine and
 // on a soft-NIC core: both enqueue into the one pipeline, whose single
 // FIFO keeps the node's persists (and so its acks) in enqueue order.
-// The pipeline's ack fields carry the acknowledgment (EnqueueAck →
-// sendDurableAck on the drain engine, strictly after the group
-// commit), allocating nothing; a sampled transaction also carries its
-// trace start stamp there.
+// The pipeline's ack fields carry the acknowledgment (sendDurableAck
+// runs strictly after the group commit), allocating nothing; a sampled
+// transaction also carries its trace start stamp there. Under
+// commitInline the entry waits for the burst-end Flush (on a NIC core,
+// handleOffloaded's Wake).
 //
 //minos:hotpath
 func (n *Node) persistThenAck(m ddp.Message) {
@@ -666,12 +684,16 @@ func (n *Node) persistThenAck(m ddp.Message) {
 	if n.tracer.Enabled() && n.tracer.SampleTxn(uint64(m.TS.Version)) {
 		stamp = n.tracer.Now()
 	}
+	if n.commitInline {
+		n.pipe.DeferAck(m.Key, m.TS, m.Value, m.Scope, m.From, n.durableAck, stamp)
+		return
+	}
 	n.pipe.EnqueueAck(m.Key, m.TS, m.Value, m.Scope, m.From, n.durableAck, stamp)
 }
 
 // sendDurableAck ships a durable acknowledgment. It is the pipeline's
-// OnAck hook: it runs on the drain engine strictly after the
-// EnqueueAck entry's group commit, so the persist-before-ack order
+// OnAck hook: it runs on the committing goroutine strictly after the
+// entry's group commit (worker or Flush), so the persist-before-ack order
 // holds with no per-entry closure. An acknowledgment addressed to this
 // node is a coordinator's own persist: it advances the write instead
 // of leaving the node. A non-zero stamp is the trace start
@@ -706,9 +728,10 @@ func (n *Node) sendDurableAck(to ddp.NodeID, kind ddp.MsgKind, key ddp.Key, ts d
 	})
 }
 
-// onPersistBatch runs on the drain engine after each group commit and
-// keeps the persist counter exact. No record waits on the log: a write
-// learns of its local persist through its own acknowledgment.
+// onPersistBatch runs on the committing goroutine after each group
+// commit and keeps the persist counter exact. No record waits on the
+// log: a write learns of its local persist through its own
+// acknowledgment.
 func (n *Node) onPersistBatch(entries int) {
 	n.Stats.Persists.Add(int64(entries))
 }

@@ -43,8 +43,12 @@ func offloadable(m ddp.Message) bool {
 
 // handleOffloaded runs one protocol message on a NIC core (the
 // engine's Handler callback). enq is the vFIFO admission timestamp (0
-// unless tracing stamped it).
+// unless tracing stamped it). An INV's deferred persist goes to the
+// drain worker: committing per NIC message shrank the group commits.
 func (n *Node) handleOffloaded(m ddp.Message, enq int64) {
+	if n.commitInline && m.Kind == ddp.KindInv {
+		defer n.pipe.Wake()
+	}
 	if enq != 0 && n.tracer.Enabled() && n.tracer.SampleTxn(uint64(m.TS.Version)) {
 		n.handleOffloadedTraced(m, enq)
 		return

@@ -29,40 +29,7 @@ var fabrics = []string{"mem", "ring", "tcp"}
 // closes their endpoints.
 func newFabricCluster(t *testing.T, fabric string, n int, model ddp.Model, mutate func(i int, cfg *Config)) []*Node {
 	t.Helper()
-	eps := make([]transport.Transport, n)
-	switch fabric {
-	case "mem":
-		net := transport.NewMemNetwork(n)
-		for i := range eps {
-			eps[i] = net.Endpoint(ddp.NodeID(i))
-		}
-	case "ring":
-		net := transport.NewRingNetwork(n)
-		for i := range eps {
-			eps[i] = net.Endpoint(ddp.NodeID(i))
-		}
-	case "tcp":
-		// Start every listener on an ephemeral port first, then exchange
-		// the real addresses.
-		trs := make([]*transport.TCPTransport, n)
-		for i := range trs {
-			tr, err := transport.NewTCPTransport(ddp.NodeID(i),
-				map[ddp.NodeID]string{ddp.NodeID(i): "127.0.0.1:0"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			trs[i], eps[i] = tr, tr
-		}
-		for i := range trs {
-			for j := range trs {
-				if i != j {
-					trs[i].SetPeerAddr(ddp.NodeID(j), trs[j].Addr())
-				}
-			}
-		}
-	default:
-		t.Fatalf("unknown fabric %q", fabric)
-	}
+	eps, _ := newFabric(t, fabric, n, false)
 	nodes := make([]*Node, n)
 	for i := range nodes {
 		cfg := Config{Model: model}
@@ -78,6 +45,73 @@ func newFabricCluster(t *testing.T, fabric string, n int, model ddp.Model, mutat
 		}
 	})
 	return nodes
+}
+
+// newFabric builds the endpoints of n nodes over the named fabric and,
+// if withClient is set, one client endpoint (ID n) that reaches every
+// node; the caller closes them.
+func newFabric(t *testing.T, fabric string, n int, withClient bool) ([]transport.Transport, transport.Transport) {
+	t.Helper()
+	clients := 0
+	if withClient {
+		clients = 1
+	}
+	eps := make([]transport.Transport, n)
+	var client transport.Transport
+	switch fabric {
+	case "mem":
+		net := transport.NewMemNetworkClients(n, clients)
+		for i := range eps {
+			eps[i] = net.Endpoint(ddp.NodeID(i))
+		}
+		if withClient {
+			client = net.Endpoint(ddp.NodeID(n))
+		}
+	case "ring":
+		net := transport.NewRingNetworkWithClients(n, clients)
+		for i := range eps {
+			eps[i] = net.Endpoint(ddp.NodeID(i))
+		}
+		if withClient {
+			client = net.Endpoint(ddp.NodeID(n))
+		}
+	case "tcp":
+		// Start every listener on an ephemeral port first, then exchange
+		// the real addresses.
+		trs := make([]*transport.TCPTransport, n)
+		addrs := map[ddp.NodeID]string{ddp.NodeID(n): "127.0.0.1:0"}
+		for i := range trs {
+			tr, err := transport.NewTCPTransport(ddp.NodeID(i),
+				map[ddp.NodeID]string{ddp.NodeID(i): "127.0.0.1:0"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			trs[i], eps[i] = tr, tr
+			addrs[ddp.NodeID(i)] = tr.Addr()
+		}
+		for i := range trs {
+			for j := range trs {
+				if i != j {
+					trs[i].SetPeerAddr(ddp.NodeID(j), trs[j].Addr())
+				}
+			}
+		}
+		if withClient {
+			ct, err := transport.NewTCPTransport(ddp.NodeID(n), addrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			client = ct
+			for i := range trs {
+				if err := ct.Announce(ddp.NodeID(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	default:
+		t.Fatalf("unknown fabric %q", fabric)
+	}
+	return eps, client
 }
 
 // TestRingClusterReplicates smoke-tests every model over the ring

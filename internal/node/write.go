@@ -162,10 +162,13 @@ func (n *Node) write(key ddp.Key, value []byte, sc ddp.ScopeID, c client) (*writ
 	// Step d (L18 / Fig 3): persist the local update. The pipeline copies
 	// the value; a model that tracks persistency learns of the group
 	// commit through an acknowledgment addressed to this node, which the
-	// drain engine delivers to the transaction (sendDurableAck).
+	// committing goroutine delivers to the transaction (sendDurableAck);
+	// a remote write's waits for the delivery goroutine's Flush.
 	switch {
 	case n.policy.CoordPersist == ddp.CoordPersistOnScopeFlush:
 		n.bufferScope(sc, key, ts, value)
+	case c.remote && n.commitInline:
+		n.pipe.DeferAck(key, ts, value, sc, n.id, n.durableAck, 0)
 	case n.policy.TracksPersistency:
 		n.pipe.EnqueueAck(key, ts, value, sc, n.id, n.durableAck, 0)
 	default:

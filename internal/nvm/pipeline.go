@@ -27,7 +27,9 @@ import (
 //
 // Every persist takes this one path, whatever the latency model: a
 // zero model charges nothing, but its entries still drain in group
-// commits on the worker.
+// commits. A commit runs on the drain worker or, after DeferAck, on the
+// caller's Flush — run to completion, as a NIC core runs a vFIFO entry
+// and its dFIFO persist (§V-B); a drain token keeps one at a time.
 //
 // The path is allocation-free in steady state: the queue recycles its
 // value buffers (a free list) and alternates between two
@@ -40,8 +42,10 @@ type Pipeline struct {
 	onBatch func(entries int)
 	onAck   func(to ddp.NodeID, kind ddp.MsgKind, key ddp.Key, ts ddp.Timestamp, scope ddp.ScopeID, stamp int64)
 
-	// q is the one dFIFO, drained by one worker.
-	q drainQueue
+	// q is the one dFIFO. token is held across each group commit, hooks
+	// included, so acks leave in commit order and Close can wait them out.
+	q     drainQueue
+	token sync.Mutex
 
 	stop   chan struct{}
 	closed atomic.Bool
@@ -51,27 +55,30 @@ type Pipeline struct {
 	// and park counters expose the drain worker's CPU model (DESIGN.md
 	// D8): spin_charges batches burned on the yield-spin path,
 	// spin_yields the Gosched iterations that cost, timer_parks batches
-	// that slept on a runtime timer instead.
-	reg          *obs.Registry
-	batches      *obs.Counter
-	entries      *obs.Counter
-	spinCharges  *obs.Counter
-	spinYields   *obs.Counter
-	timerParks   *obs.Counter
-	pending      *obs.Gauge
-	batchEntries *obs.Histogram
-	drainNs      *obs.Histogram
+	// that slept on a runtime timer instead; inline_commits Flush's
+	// commits, worker_wakes the signals that reached the worker.
+	reg           *obs.Registry
+	batches       *obs.Counter
+	entries       *obs.Counter
+	spinCharges   *obs.Counter
+	spinYields    *obs.Counter
+	timerParks    *obs.Counter
+	inlineCommits *obs.Counter
+	workerWakes   *obs.Counter
+	pending       *obs.Gauge
+	batchEntries  *obs.Histogram
+	drainNs       *obs.Histogram
 }
 
 // PipelineConfig tunes a Pipeline.
 type PipelineConfig struct {
 	// Lat is the modeled NVM latency charged once per drained batch.
 	Lat LatencyModel
-	// OnBatch, when set, runs on the drain worker after a batch is
-	// appended, with the batch's entry count. The node layer uses it to
-	// keep its persist counters exact.
+	// OnBatch, when set, runs on the committing goroutine after a batch
+	// is appended, with the batch's entry count. The node layer uses it
+	// to keep its persist counters exact.
 	OnBatch func(entries int)
-	// OnAck, when set, runs on the drain worker for every EnqueueAck
+	// OnAck, when set, runs on the committing goroutine for every ack
 	// entry strictly after its batch is appended — the persist-before-
 	// ack order — carrying the acknowledgment's addressing and the
 	// caller's stamp as plain values. One hook for the pipeline replaces
@@ -152,6 +159,8 @@ func NewPipeline(log *Log, cfg PipelineConfig) *Pipeline {
 	p.spinCharges = p.reg.Counter("spin_charges")
 	p.spinYields = p.reg.Counter("spin_yields")
 	p.timerParks = p.reg.Counter("timer_parks")
+	p.inlineCommits = p.reg.Counter("inline_commits")
+	p.workerWakes = p.reg.Counter("worker_wakes")
 	p.pending = p.reg.Gauge("pending")
 	p.batchEntries = p.reg.Histogram("batch_entries")
 	p.drainNs = p.reg.Histogram("drain_ns")
@@ -177,16 +186,20 @@ func (p *Pipeline) Describe() string { return "nvm.pipeline" }
 // size and drain latency distributions) to s.
 func (p *Pipeline) Collect(s *obs.Snapshot) { p.reg.Collect(s) }
 
-// Close stops the drain worker and wakes every blocked persister.
-// Blocked Persist/PersistMany callers return false; updates still
-// queued are dropped (a closing node makes no further durability
-// promises).
+// Close stops the drain worker, waits out an inline commit in flight,
+// and wakes every blocked persister. Blocked Persist/PersistMany
+// callers return false; updates still queued are dropped (a closing
+// node makes no further durability promises).
 func (p *Pipeline) Close() {
 	if !p.closed.CompareAndSwap(false, true) {
 		return
 	}
 	close(p.stop)
 	p.wg.Wait()
+	// Flush checks closed under the token, so once Close has held it no
+	// inline commit runs or starts.
+	p.token.Lock()
+	p.token.Unlock()
 	// Wake waiters on batches that never drained. Collect outside the
 	// broadcast so the queue and batch locks are never nested. Every
 	// waiter either observes closed before parking or holds the batch
@@ -224,27 +237,32 @@ func (q *drainQueue) add(e batchEntry) {
 }
 
 // enqueue adds one update to the current batch, signalling the drain
-// worker. It returns the batch and the generation to wait for. The
-// generation read is stable: the batch cannot swap out (let alone
-// complete) while the queue lock pins it as cur.
+// worker if wake is set. It returns the batch and the generation to
+// wait for. The generation read is stable: the batch cannot swap out
+// (let alone complete) while the queue lock pins it as cur.
 //
 //minos:hotpath
-func (p *Pipeline) enqueue(e batchEntry) (*drainBatch, uint64) {
+func (p *Pipeline) enqueue(e batchEntry, wake bool) (*drainBatch, uint64) {
 	q := &p.q
 	q.mu.Lock()
 	b := q.cur
 	g := b.gen.Load()
 	q.add(e)
 	q.mu.Unlock()
-	p.queued(1)
+	p.pending.Add(1)
+	if wake {
+		p.Wake()
+	}
 	return b, g
 }
 
-// queued counts n freshly enqueued entries and signals the worker.
-func (p *Pipeline) queued(n int) {
-	p.pending.Add(int64(n))
+// Wake signals the drain worker.
+//
+//minos:hotpath
+func (p *Pipeline) Wake() {
 	select {
 	case p.q.wake <- struct{}{}:
+		p.workerWakes.Add(1)
 	default: // a wake is already pending; the worker will see the entries
 	}
 }
@@ -270,7 +288,7 @@ func (p *Pipeline) Enqueue(key ddp.Key, ts ddp.Timestamp, value []byte, scope dd
 	if p.closed.Load() {
 		return false
 	}
-	p.enqueue(batchEntry{key: key, ts: ts, value: value, scope: scope})
+	p.enqueue(batchEntry{key: key, ts: ts, value: value, scope: scope}, true)
 	return true
 }
 
@@ -284,11 +302,47 @@ func (p *Pipeline) Enqueue(key ddp.Key, ts ddp.Timestamp, value []byte, scope dd
 //
 //minos:hotpath
 func (p *Pipeline) EnqueueAck(key ddp.Key, ts ddp.Timestamp, value []byte, scope ddp.ScopeID, to ddp.NodeID, kind ddp.MsgKind, stamp int64) bool {
+	return p.enqueueAck(key, ts, value, scope, to, kind, stamp, true)
+}
+
+// DeferAck is EnqueueAck without waking the drain worker: the caller
+// owes a Flush (or Wake) before it parks or loops.
+//
+//minos:hotpath
+func (p *Pipeline) DeferAck(key ddp.Key, ts ddp.Timestamp, value []byte, scope ddp.ScopeID, to ddp.NodeID, kind ddp.MsgKind, stamp int64) bool {
+	return p.enqueueAck(key, ts, value, scope, to, kind, stamp, false)
+}
+
+//minos:hotpath
+func (p *Pipeline) enqueueAck(key ddp.Key, ts ddp.Timestamp, value []byte, scope ddp.ScopeID, to ddp.NodeID, kind ddp.MsgKind, stamp int64, wake bool) bool {
 	if p.closed.Load() {
 		return false
 	}
-	p.enqueue(batchEntry{key: key, ts: ts, value: value, scope: scope, ackTo: to, ackKind: kind, ackStamp: stamp, hasAck: true})
+	p.enqueue(batchEntry{key: key, ts: ts, value: value, scope: scope, ackTo: to, ackKind: kind, ackStamp: stamp, hasAck: true}, wake)
 	return true
+}
+
+// Flush runs the pending group commits on the caller: the worker's
+// drain, with a short charge waited out on the wall clock. The worker
+// gets them instead when the token is held elsewhere (its holder may
+// already have checked the queue) or a charge would park on a timer.
+//
+//minos:lockorder nvm.Pipeline.token < nvm.drainQueue.mu
+//minos:lockorder nvm.Pipeline.token < nvm.drainBatch.mu
+//minos:lockorder nvm.Pipeline.token < nvm.logShard.mu
+//minos:hotpath
+func (p *Pipeline) Flush() {
+	if p.pending.Load() == 0 {
+		return
+	}
+	if !p.token.TryLock() {
+		p.Wake()
+		return
+	}
+	if !p.closed.Load() {
+		p.drain(true)
+	}
+	p.token.Unlock()
 }
 
 // Persist submits an update and blocks until the group commit holding
@@ -297,7 +351,7 @@ func (p *Pipeline) Persist(key ddp.Key, ts ddp.Timestamp, value []byte, scope dd
 	if p.closed.Load() {
 		return false
 	}
-	b, g := p.enqueue(batchEntry{key: key, ts: ts, value: value, scope: scope})
+	b, g := p.enqueue(batchEntry{key: key, ts: ts, value: value, scope: scope}, true)
 	return p.waitBatch(b, g)
 }
 
@@ -320,21 +374,18 @@ func (p *Pipeline) PersistMany(updates []Update) bool {
 		q.add(batchEntry{key: u.Key, ts: u.TS, value: u.Value, scope: u.Scope})
 	}
 	q.mu.Unlock()
-	p.queued(len(updates))
+	p.pending.Add(int64(len(updates)))
+	p.Wake()
 	return p.waitBatch(b, g)
 }
 
-// spinLatencyNs is the largest modeled device latency the drain worker
-// yield-spins through instead of parking on a runtime timer. Table II's
-// device writes are ~1.3 µs, and parking on a timer costs tens of
-// microseconds of wake latency even on a quiet machine. The spin does
-// not buy device-time fidelity under load, though: each Gosched is a
-// trip through the scheduler's run queue, so a loaded 2-vCPU cluster
-// measures one yield per batch (nvm.spin_yields_per_batch 1.0) and a
-// 60-80 µs drain for a 1.3 µs charge. The charge's real cost is that
-// round trip, which is why there is one drain worker: more workers added
-// spinners, not throughput (DESIGN.md D8). A busy spin measured worse:
-// it holds the vCPU the protocol goroutines need.
+// spinLatencyNs is the largest modeled device latency waited out where
+// the commit runs; longer ones park on a timer on the drain worker
+// (Table II's writes are ~1.3 µs; a timer wake costs tens of µs). The
+// worker yield-spins, and each Gosched is a run-queue trip: loaded, one
+// yield per batch and a 15.7 µs drain for a 1.3 µs charge, after the
+// wake. A busy spin there measured worse (it holds a vCPU the protocol
+// needs); a Flush caller, already running, busy-waits (DESIGN.md D8).
 const spinLatencyNs = 100_000
 
 // timerPool recycles the park timers of the long-latency charge path so
@@ -343,12 +394,18 @@ const spinLatencyNs = 100_000
 // so Reset is always safe.
 var timerPool sync.Pool
 
-// chargeLatency models the device write for one batch: short latencies
-// yield-spin (in practice one scheduler round trip per batch, see
-// spinLatencyNs), long ones park on a pooled stop-aware timer. Returns
-// false when the pipeline stopped mid-charge.
-func (p *Pipeline) chargeLatency(ns int64) bool {
+// chargeLatency models the device write for one batch: a bounded
+// wall-clock wait inline, a yield-spin or a pooled stop-aware timer
+// park on the worker (see spinLatencyNs). Returns false when the
+// pipeline stopped mid-charge.
+func (p *Pipeline) chargeLatency(ns int64, inline bool) bool {
 	if ns <= 0 {
+		return true
+	}
+	if inline {
+		deadline := time.Now().Add(time.Duration(ns))
+		for time.Now().Before(deadline) {
+		}
 		return true
 	}
 	if ns <= spinLatencyNs {
@@ -383,10 +440,11 @@ func (p *Pipeline) chargeLatency(ns int64) bool {
 	}
 }
 
-// drainWorker is the dFIFO's drain engine: it swaps out the queue's
-// accumulated batch, charges the modeled NVM latency once for the whole
-// batch, and appends it. The sleep selects on stop so a closing node
-// never waits out a persist delay.
+// drainWorker drains what no Flush commits, under the token. The charge
+// selects on stop so a closing node never waits out a persist delay;
+// its timer calls take the runtime's GODEBUG bisect lock, a leaf.
+//
+//minos:lockorder nvm.Pipeline.token < bisect.dedup.mu
 func (p *Pipeline) drainWorker() {
 	defer p.wg.Done()
 	for {
@@ -395,23 +453,32 @@ func (p *Pipeline) drainWorker() {
 			return
 		case <-p.q.wake:
 		}
-		if !p.drain() {
+		p.token.Lock()
+		ok := p.drain(false)
+		p.token.Unlock()
+		if !ok {
 			return
 		}
 	}
 }
 
 // drain processes every accumulated batch, returning false when the
-// pipeline stopped mid-drain. Steady state alternates two batches:
-// while one accumulates as cur, the other drains here and is recycled
-// to spare at the end.
-func (p *Pipeline) drain() bool {
+// pipeline stopped mid-drain; the caller holds the token. Steady state
+// alternates two batches: while one accumulates as cur, the other
+// drains here and is recycled to spare at the end.
+func (p *Pipeline) drain(inline bool) bool {
 	q := &p.q
 	for {
 		q.mu.Lock()
 		b := q.cur
 		if len(b.entries) == 0 {
 			q.mu.Unlock()
+			return true
+		}
+		ns := p.lat.PersistNs(b.bytes)
+		if inline && ns > spinLatencyNs {
+			q.mu.Unlock()
+			p.Wake()
 			return true
 		}
 		if q.spare != nil {
@@ -423,7 +490,7 @@ func (p *Pipeline) drain() bool {
 
 		// Group commit: one modeled device write covers the batch.
 		start := time.Now()
-		if !p.chargeLatency(p.lat.PersistNs(b.bytes)) {
+		if !p.chargeLatency(ns, inline) {
 			// Aborted mid-charge: wake the batch's persisters without
 			// bumping gen so they observe closure, not durability.
 			b.mu.Lock()
@@ -445,6 +512,9 @@ func (p *Pipeline) drain() bool {
 		// counters already include its entry.
 		p.entries.Add(int64(len(b.entries)))
 		p.batches.Add(1)
+		if inline {
+			p.inlineCommits.Add(1)
+		}
 		p.batchEntries.Observe(int64(len(b.entries)))
 		if p.onBatch != nil {
 			p.onBatch(len(b.entries))

@@ -69,6 +69,9 @@ type InlinePoller interface {
 	// handler, returning how many were processed. It returns 0 without
 	// blocking when another goroutine holds the poll token.
 	PollInline(budget int) int
+	// SetBurstEnd installs f to run on the polling goroutine, token
+	// released, after every poll pass that delivered frames.
+	SetBurstEnd(f func())
 }
 
 // spscRing is one single-producer/single-consumer byte ring. Producer
@@ -299,7 +302,8 @@ type RingTransport struct {
 	pollMu  sync.Mutex
 	scratch []byte // wrapped-frame reassembly buffer; guarded by pollMu
 
-	handler atomic.Pointer[func(Frame)]
+	handler  atomic.Pointer[func(Frame)]
+	burstEnd atomic.Pointer[func()]
 
 	parked atomic.Bool
 	wake   chan struct{}
@@ -332,6 +336,16 @@ func (t *RingTransport) Recv() <-chan Frame { return t.rx }
 // synchronously to h on the polling goroutine, values borrowed from
 // ring storage.
 func (t *RingTransport) SetHandler(h func(Frame)) { t.handler.Store(&h) }
+
+// SetBurstEnd implements InlinePoller.
+func (t *RingTransport) SetBurstEnd(f func()) { t.burstEnd.Store(&f) }
+
+// endBurst runs the burst-end hook after a pass that delivered n frames.
+func (t *RingTransport) endBurst(n int) {
+	if f := t.burstEnd.Load(); f != nil && n > 0 {
+		(*f)()
+	}
+}
 
 // Send encodes f once and copies it into the ring to peer. A full ring
 // after the bounded producer spin returns ErrBackpressure. The
@@ -408,6 +422,7 @@ func (t *RingTransport) wakePeer(to ddp.NodeID) {
 	if dst != nil && dst.parked.Load() {
 		select {
 		case dst.wake <- struct{}{}:
+			dst.stats.pollerPokes.Add(1)
 		default:
 		}
 	}
@@ -441,6 +456,7 @@ func (t *RingTransport) PollInline(budget int) int {
 	}
 	n := t.pollLocked(budget)
 	t.pollMu.Unlock()
+	t.endBurst(n)
 	// If frames remain (the budget ran out) make sure the endpoint's
 	// own poller picks them up even if it parked while the token was
 	// held here.
@@ -529,6 +545,7 @@ func (t *RingTransport) pollLoop() {
 		if t.pollMu.TryLock() {
 			n = t.pollLocked(pollBurst)
 			t.pollMu.Unlock()
+			t.endBurst(n)
 		}
 		if n > 0 {
 			idle = 0

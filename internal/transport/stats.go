@@ -20,6 +20,7 @@ type counters struct {
 	broadcasts  *obs.Counter
 	redials     *obs.Counter
 	sendErrors  *obs.Counter
+	pollerPokes *obs.Counter
 	// batchFrames buckets frames-per-batch (power-of-two bounds),
 	// replacing the old fixed 8-bucket BatchHist array.
 	batchFrames *obs.Histogram
@@ -28,7 +29,8 @@ type counters struct {
 // newCounters builds the instrument set. Instrument names (all under
 // the "transport." prefix): frames_sent, frames_recv, batches_sent,
 // bytes_sent, bytes_recv, recv_reads, encodes, broadcasts, redials,
-// send_errors, and the frames_per_batch histogram. recv_reads counts
+// send_errors, poller_pokes (ring wakes of a parked poller), and the
+// frames_per_batch histogram. recv_reads counts
 // socket reads that returned data (TCP only, 0 on the in-process
 // fabrics): frames_recv / recv_reads is the receive twin of
 // frames_per_batch.
@@ -46,6 +48,7 @@ func newCounters() counters {
 		broadcasts:  reg.Counter("broadcasts"),
 		redials:     reg.Counter("redials"),
 		sendErrors:  reg.Counter("send_errors"),
+		pollerPokes: reg.Counter("poller_pokes"),
 		batchFrames: reg.Histogram("frames_per_batch"),
 	}
 }
