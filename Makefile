@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-bench flake race race-hot lint vet check bench bench-smoke live-smoke bench-scale clean
+.PHONY: all build test test-bench flake race race-hot lint vet check bench bench-smoke live-smoke server-smoke bench-scale clean
 
 all: build
 
@@ -23,11 +23,12 @@ test-bench:
 
 # Repeats the packages whose tests race real goroutines and sockets
 # (loopback TCP, ring backpressure, the node, the record waiter lists,
-# the soft-NIC engine, the NVM pipeline's close/drain paths, and the
+# the soft-NIC engine, the NVM pipeline's close/drain paths, the
 # client path the load engine drives through the nodes' delivery
-# goroutines), since one green run does not show they are deterministic.
+# goroutines, and minos-client's runs against a loopback TCP cluster),
+# since one green run does not show they are deterministic.
 flake:
-	$(GO) test -count=20 ./internal/transport ./internal/node ./internal/kv ./internal/offload ./internal/nvm ./internal/loadgen
+	$(GO) test -count=20 ./internal/transport ./internal/node ./internal/kv ./internal/offload ./internal/nvm ./internal/loadgen ./cmd/minos-client
 
 # The repo's benchmark (BENCHMARK.json): four workloads over a live
 # 5-node cluster, ~20 s each; builds into the git-ignored .bench_build/.
@@ -73,6 +74,29 @@ live-smoke:
 	$(GO) run ./cmd/minos-live -nodes 3 -rate 5000 -duration 300ms -trace $$trace && \
 	$(GO) run ./cmd/minos-trace $$trace; \
 	status=$$?; rm -f $$trace; exit $$status
+
+# End-to-end check of the process-per-node deployment: three
+# minos-server processes on 127.0.0.1:17100-17102, then minos-client
+# set, get (on another node), persist, stats and a short open-loop
+# bench, which exits 1 if any operation errs. The servers are stopped
+# by PID; their logs are printed if anything failed.
+server-smoke:
+	@dir=$$(mktemp -d); status=0; pids=; \
+	spec=0=127.0.0.1:17100,1=127.0.0.1:17101,2=127.0.0.1:17102; \
+	$(GO) build -o $$dir/ ./cmd/minos-server ./cmd/minos-client || status=1; \
+	if [ $$status = 0 ]; then \
+	  for i in 0 1 2; do $$dir/minos-server -id $$i -cluster $$spec 2>$$dir/node$$i.log & pids="$$pids $$!"; done; \
+	  for i in 0 1 2; do n=0; until grep -q ' up:' $$dir/node$$i.log || [ $$n -ge 50 ]; do sleep 0.1; n=$$((n+1)); done; done; \
+	  c=$$dir/minos-client; \
+	  { $$c -cluster $$spec set 42 hello && \
+	    test "$$($$c -cluster 2=127.0.0.1:17102 get 42)" = "OK hello" && \
+	    $$c -cluster $$spec persist && \
+	    $$c -cluster $$spec stats | grep -q '"name":"node.client_served","value":[1-9]' && \
+	    $$c -cluster $$spec bench -duration 300ms; } || status=1; \
+	  kill $$pids; wait; \
+	  [ $$status = 0 ] || cat $$dir/node*.log; \
+	fi; \
+	rm -rf $$dir; exit $$status
 
 # Open-loop scale sweep: the coordinated-omission-safe load engine
 # drives 1M logical clients over 16 connections against a 5-node

@@ -45,13 +45,8 @@ func StartCluster(cl Cluster, ob Observe, off Offload, clientConns int) (*LiveCl
 		cfg := node.Config{
 			Model:        cl.Model,
 			PersistDelay: cl.PersistDelay,
+			ClientWindow: cl.ClientWindow,
 			Tracer:       lc.Tracers[i],
-		}
-		if clientConns > 0 {
-			cfg.ClientWindow = cl.ClientWindow
-			if cfg.ClientWindow <= 0 {
-				cfg.ClientWindow = 1024
-			}
 		}
 		if off.Enabled {
 			cfg.Offload = off.Config

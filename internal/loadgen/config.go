@@ -37,7 +37,7 @@ type Cluster struct {
 	Fabric string
 	// ClientWindow bounds the client operations each node has in
 	// flight; requests beyond it are shed with StatusShed. Zero picks
-	// the loadgen default (1024) when client connections exist.
+	// the node default.
 	ClientWindow int
 }
 
@@ -148,8 +148,5 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	c.Cluster = c.Cluster.withDefaults()
 	c.Load = c.Load.withDefaults()
-	if c.Cluster.ClientWindow <= 0 {
-		c.Cluster.ClientWindow = 1024
-	}
 	return c
 }

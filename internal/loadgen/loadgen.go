@@ -101,7 +101,7 @@ type conn struct {
 	pick    splitmix64 // logical-client picker
 	clients int        // logical clients on this connection
 	base    int        // first logical client id
-	nodes   int
+	targets []ddp.NodeID
 
 	free     chan int
 	intended []int64
@@ -115,9 +115,10 @@ type conn struct {
 // histograms (obs instruments are striped atomics — all connections
 // observe into the same registry).
 type engine struct {
-	cfg   Config
-	reg   *obs.Registry
-	start time.Time
+	load   Load
+	scoped bool // <Lin, Scope>: the workload's persist beats are sent
+	reg    *obs.Registry
+	start  time.Time
 
 	intendedWr *obs.Histogram
 	intendedRd *obs.Histogram
@@ -129,8 +130,9 @@ type engine struct {
 	errs      *obs.Counter
 }
 
-// Run executes one open-loop measurement: bring the cluster up, issue
-// the scheduled arrivals over the client connections, drain, account.
+// Run executes one open-loop measurement: bring the cluster up, Drive
+// the scheduled arrivals over its client connections, and take the
+// cluster's snapshot and spans.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	lc, err := StartCluster(cfg.Cluster, cfg.Observe, cfg.Offload, cfg.Load.Conns)
@@ -145,8 +147,35 @@ func Run(cfg Config) (*Result, error) {
 			nd.Store().Preload(cfg.Load.PreloadRecords, value)
 		}
 	}
+	targets := make([]ddp.NodeID, len(lc.Nodes))
+	for i := range targets {
+		targets[i] = ddp.NodeID(i)
+	}
+	res, err := Drive(lc.ClientEps, targets, cfg.Cluster.Model, cfg.Load)
+	if err != nil {
+		return nil, err
+	}
+	res.Fabric = fabricName(cfg.Cluster.Fabric)
+	res.Obs = lc.Collect()
+	res.Spans = lc.Spans()
+	return res, nil
+}
 
-	e := &engine{cfg: cfg, reg: obs.NewRegistry("loadgen")}
+// Drive issues load's scheduled arrivals over client endpoints already
+// wired to a running cluster, one connection per endpoint (load.Conns
+// is len(eps)), spreading each connection's logical clients over
+// targets; it then drains and accounts. model decides whether the
+// workload's persist beats are sent (<Lin, Scope> only). The endpoints
+// stay open: the caller owns them, and fills Result's Fabric, Obs and
+// Spans if it has them.
+func Drive(eps []transport.Transport, targets []ddp.NodeID, model ddp.Model, load Load) (*Result, error) {
+	if len(eps) == 0 || len(targets) == 0 {
+		return nil, fmt.Errorf("loadgen: drive needs client endpoints and target nodes (got %d, %d)", len(eps), len(targets))
+	}
+	load.Conns = len(eps)
+	load = load.withDefaults()
+
+	e := &engine{load: load, scoped: model == ddp.LinScope, reg: obs.NewRegistry("loadgen")}
 	e.intendedWr = e.reg.Histogram("intended_write_ns")
 	e.intendedRd = e.reg.Histogram("intended_read_ns")
 	e.serviceWr = e.reg.Histogram("service_write_ns")
@@ -155,46 +184,47 @@ func Run(cfg Config) (*Result, error) {
 	e.shedNode = e.reg.Counter("shed_node")
 	e.errs = e.reg.Counter("errs")
 
-	conns := make([]*conn, cfg.Load.Conns)
-	per := cfg.Load.Clients / cfg.Load.Conns
+	conns := make([]*conn, load.Conns)
+	per := load.Clients / load.Conns
 	for i := range conns {
 		clients := per
 		if i == len(conns)-1 {
-			clients = cfg.Load.Clients - per*(len(conns)-1)
+			clients = load.Clients - per*(len(conns)-1)
 		}
-		seed := cfg.Load.Seed + int64(i)*0x9E3779B9
-		sched, err := NewSchedule(cfg.Load.Arrival, cfg.Load.Rate/float64(len(conns)), seed)
+		seed := load.Seed + int64(i)*0x9E3779B9
+		sched, err := NewSchedule(load.Arrival, load.Rate/float64(len(conns)), seed)
 		if err != nil {
 			return nil, err
 		}
 		c := &conn{
-			ep:       lc.ClientEps[i],
+			ep:       eps[i],
 			sched:    sched,
-			gen:      workload.NewGenerator(cfg.Load.Workload, seed+7919),
+			gen:      workload.NewGenerator(load.Workload, seed+7919),
 			pick:     splitmix64{state: uint64(seed) ^ 0xC0FFEE},
 			clients:  clients,
 			base:     i * per,
-			nodes:    cfg.Cluster.Nodes,
-			free:     make(chan int, cfg.Load.Window),
-			intended: make([]int64, cfg.Load.Window),
-			sent:     make([]int64, cfg.Load.Window),
-			kind:     make([]uint8, cfg.Load.Window),
+			targets:  targets,
+			free:     make(chan int, load.Window),
+			intended: make([]int64, load.Window),
+			sent:     make([]int64, load.Window),
+			kind:     make([]uint8, load.Window),
 		}
-		for s := 0; s < cfg.Load.Window; s++ {
+		for s := 0; s < load.Window; s++ {
 			c.free <- s
 		}
 		conns[i] = c
 	}
 
-	// Receivers drain responses until their endpoint closes; they must
-	// outlive the dispatchers by the drain grace.
+	// Receivers drain responses until stopped; they must outlive the
+	// dispatchers by the drain grace.
 	var rxWg, txWg sync.WaitGroup
+	stop := make(chan struct{})
 	e.start = time.Now()
 	for _, c := range conns {
 		rxWg.Add(1)
 		go func(c *conn) {
 			defer rxWg.Done()
-			e.receiver(c)
+			e.receiver(c, stop)
 		}(c)
 		txWg.Add(1)
 		go func(c *conn) {
@@ -206,7 +236,7 @@ func Run(cfg Config) (*Result, error) {
 
 	// Drain: give in-flight operations DrainGrace to complete, checking
 	// the free lists; whatever is still out afterwards is abandoned.
-	deadline := time.Now().Add(cfg.Load.DrainGrace)
+	deadline := time.Now().Add(load.DrainGrace)
 	for time.Now().Before(deadline) {
 		allFree := true
 		for _, c := range conns {
@@ -221,22 +251,18 @@ func Run(cfg Config) (*Result, error) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	res := &Result{
-		Model:   cfg.Cluster.Model,
-		Fabric:  fabricName(cfg.Cluster.Fabric),
-		Arrival: cfg.Load.Arrival,
-		Rate:    cfg.Load.Rate,
-		Clients: cfg.Load.Clients,
-		Conns:   cfg.Load.Conns,
-		Elapsed: cfg.Load.Duration,
-	}
-	res.Obs = lc.Collect()
-	res.Spans = lc.Spans()
-
-	// Tear the fabric down to stop the receivers, then read the final
-	// counts (the receivers own their slots until then).
-	lc.Close()
+	// Stop the receivers, then read the final counts (the receivers own
+	// their slots until then).
+	close(stop)
 	rxWg.Wait()
+	res := &Result{
+		Model:   model,
+		Arrival: load.Arrival,
+		Rate:    load.Rate,
+		Clients: load.Clients,
+		Conns:   load.Conns,
+		Elapsed: load.Duration,
+	}
 	for _, c := range conns {
 		res.Offered += c.offered
 		res.ShedWindow += c.shedWindow
@@ -272,9 +298,8 @@ func fabricName(f string) string {
 // sample set never shrinks because the server got slow — the exact
 // coordinated-omission bug closed loops have.
 func (e *engine) dispatcher(c *conn) {
-	durNs := e.cfg.Load.Duration.Nanoseconds()
-	value := make([]byte, e.cfg.Load.Workload.ValueSize)
-	scoped := e.cfg.Cluster.Model == ddp.LinScope
+	durNs := e.load.Duration.Nanoseconds()
+	value := make([]byte, e.load.Workload.ValueSize)
 	stall := time.NewTimer(time.Hour)
 	stall.Stop()
 	defer stall.Stop()
@@ -307,7 +332,7 @@ func (e *engine) dispatcher(c *conn) {
 		case workload.OpRead:
 			kind, cop = slotRead, transport.OpClientRead
 		case workload.OpPersist:
-			if !scoped {
+			if !e.scoped {
 				// Non-scoped models persist every write inline; the
 				// workload's persist beats are vacuous for them.
 				continue
@@ -323,7 +348,7 @@ func (e *engine) dispatcher(c *conn) {
 			// the drain grace — a cluster that answers *nothing* for
 			// that long is dead, and those arrivals are shed explicitly
 			// rather than hanging the run.
-			stall.Reset(e.cfg.Load.DrainGrace)
+			stall.Reset(e.load.DrainGrace)
 			select {
 			case slot = <-c.free:
 				if !stall.Stop() {
@@ -338,7 +363,7 @@ func (e *engine) dispatcher(c *conn) {
 		// The logical client this arrival belongs to; its home node is
 		// stable so per-client streams stay FIFO at one frontend.
 		local := int(c.pick.next() % uint64(c.clients))
-		target := ddp.NodeID((c.base + local) % c.nodes)
+		target := c.targets[(c.base+local)%len(c.targets)]
 
 		req := transport.ClientRequest{Op: cop, Key: ddp.Key(op.Key)}
 		if cop == transport.OpClientWrite {
@@ -362,9 +387,21 @@ func (e *engine) dispatcher(c *conn) {
 }
 
 // receiver demultiplexes one connection's responses back to their
-// slots by the echoed client id and records both latency views.
-func (e *engine) receiver(c *conn) {
-	for f := range c.ep.Recv() {
+// slots by the echoed client id and records both latency views, until
+// stop closes or the endpoint does.
+func (e *engine) receiver(c *conn, stop <-chan struct{}) {
+	rx := c.ep.Recv()
+	for {
+		var f transport.Frame
+		ok := true
+		select {
+		case <-stop:
+			return
+		case f, ok = <-rx:
+		}
+		if !ok {
+			return
+		}
 		if f.Kind != transport.FrameClientResponse {
 			continue
 		}

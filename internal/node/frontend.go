@@ -1,6 +1,7 @@
 package node
 
 import (
+	"encoding/json"
 	"sync/atomic"
 
 	"github.com/minos-ddp/minos/internal/ddp"
@@ -85,6 +86,8 @@ func (fe *frontend) admit(f transport.Frame) {
 			return
 		}
 		n.persistScope(sc, c)
+	case transport.OpClientStats:
+		fe.stats(c)
 	default:
 		fe.errs.Add(1)
 		fe.respond(c, transport.StatusErr, nil)
@@ -100,6 +103,15 @@ func (fe *frontend) scope(from ddp.NodeID) ddp.ScopeID {
 		fe.scopes[from] = sc
 	}
 	return sc
+}
+
+// stats answers c with the JSON of the node's snapshot merged with its
+// transport's wire instruments: the counters a benchmark reads, served
+// to an operator over the same admission path.
+func (fe *frontend) stats(c client) {
+	src, _ := fe.n.tr.(obs.Source)
+	data, err := json.Marshal(obs.Collect(fe.n, src))
+	fe.complete(c, data, err)
 }
 
 // readStalled answers remote read c from r once r's RDLock is free:

@@ -41,18 +41,15 @@ type Config struct {
 	// for it. Zero values disable detection (the pure protocol).
 	HeartbeatEvery time.Duration
 	FailAfter      time.Duration
-	// Shards sizes the KV store's lock striping.
-	Shards int
 	// Tracer, when non-nil, records per-transaction phase spans on the
 	// write path (obs.Phase taxonomy). Nil disables tracing; the hot
 	// path then pays a single predictable branch per phase boundary.
 	Tracer *obs.Tracer
-	// ClientWindow, when positive, enables the remote-client frontend:
-	// a FrameClientRequest runs at admission, on the delivery goroutine,
+	// ClientWindow bounds the remote-client frontend: a
+	// FrameClientRequest runs at admission, on the delivery goroutine,
 	// and at most this many client operations are in flight at once;
 	// a request beyond that is shed with an explicit StatusShed
-	// response. Zero disables the frontend (client frames are answered
-	// StatusErr).
+	// response. Zero selects the default window of 1024.
 	ClientWindow int
 	// Offload, when non-nil, enables the soft-NIC offload engine
 	// (MINOS-O): protocol messages for keys the adaptive policy deems
@@ -62,6 +59,13 @@ type Config struct {
 	// &offload.Config{} selects all defaults.
 	Offload *offload.Config
 }
+
+// defaultClientWindow is the client frontend's in-flight bound when
+// Config.ClientWindow is zero.
+const defaultClientWindow = 1024
+
+// storeShards sizes the KV store's lock striping.
+const storeShards = 64
 
 // txnKey identifies a write transaction; TS_WR is unique per record only.
 type txnKey struct {
@@ -182,9 +186,8 @@ type Node struct {
 	// off is the soft-NIC offload engine (MINOS-O); nil runs pure
 	// MINOS-B, every message on the delivery goroutine.
 	off *offload.Engine
-	// fe is the remote-client frontend (nil unless Config.ClientWindow
-	// is set): bounded admission into the same write, read and scope
-	// persist paths local callers use.
+	// fe is the remote-client frontend: bounded admission into the same
+	// write, read and scope persist paths local callers use.
 	fe *frontend
 
 	// poller is non-nil when the transport polls inline: frames then
@@ -255,8 +258,8 @@ type Stats struct {
 
 // New creates a node over tr. Call Start to begin serving.
 func New(cfg Config, tr transport.Transport) *Node {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 64
+	if cfg.ClientWindow <= 0 {
+		cfg.ClientWindow = defaultClientWindow
 	}
 	n := &Node{
 		cfg:       cfg,
@@ -264,7 +267,7 @@ func New(cfg Config, tr transport.Transport) *Node {
 		id:        tr.Self(),
 		tr:        tr,
 		peers:     tr.Peers(),
-		store:     kv.NewStore(cfg.Shards),
+		store:     kv.NewStore(storeShards),
 		log:       nvm.NewLog(),
 		scopeBuf:  make(map[ddp.ScopeID][]nvm.Update),
 		scopeWait: make(map[ddp.ScopeID]*scopePersist),
@@ -317,9 +320,7 @@ func New(cfg Config, tr transport.Transport) *Node {
 		OnBatch: n.onPersistBatch,
 		OnAck:   n.sendDurableAck,
 	})
-	if cfg.ClientWindow > 0 {
-		n.fe = newFrontend(n, cfg.ClientWindow)
-	}
+	n.fe = newFrontend(n, cfg.ClientWindow)
 	if cfg.Offload != nil {
 		oc := *cfg.Offload
 		oc.Handler = n.handleOffloaded
@@ -497,27 +498,12 @@ func (n *Node) handleFrame(f transport.Frame) {
 	case transport.FrameHeartbeat:
 		// noteAlive above is the whole job.
 	case transport.FrameClientRequest:
-		n.admitClient(f)
+		n.fe.admit(f)
 	case transport.FrameRecoveryRequest:
 		n.spawnRecovery(f.From, f.Since)
 	case transport.FrameRecoveryEntries:
 		n.applyRecovery(f.Entries)
 	}
-}
-
-// admitClient routes a client request into the frontend; with no
-// frontend configured the node answers StatusErr so remote clients
-// fail fast instead of hanging.
-func (n *Node) admitClient(f transport.Frame) {
-	if n.fe == nil {
-		_ = n.tr.Send(f.From, transport.Frame{
-			Kind:   transport.FrameClientResponse,
-			Client: f.Client,
-			Resp:   transport.ClientResponse{Op: f.Req.Op, Status: transport.StatusErr},
-		})
-		return
-	}
-	n.fe.admit(f)
 }
 
 // spawnRecovery serves a log-shipping request off the delivery path;

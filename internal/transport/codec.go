@@ -55,6 +55,9 @@ const (
 	// endpoint had sent that node before it is durable on every node.
 	// Elsewhere it is a no-op acknowledgment.
 	OpClientPersist
+	// OpClientStats asks for the serving node's observability snapshot
+	// (its own layers and its transport's wire counters) as JSON.
+	OpClientStats
 )
 
 // ClientStatus is the outcome a FrameClientResponse reports.

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"net"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -140,6 +142,27 @@ func NewTCPTransport(self ddp.NodeID, addrs map[ddp.NodeID]string) (*TCPTranspor
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
+}
+
+// ParseCluster parses a cluster spec "0=host:port,1=host:port,..."
+// into the address map NewTCPTransport takes.
+func ParseCluster(spec string) (map[ddp.NodeID]string, error) {
+	if spec == "" {
+		return nil, fmt.Errorf("transport: empty cluster spec")
+	}
+	out := map[ddp.NodeID]string{}
+	for _, part := range strings.Split(spec, ",") {
+		id, addr, ok := strings.Cut(strings.TrimSpace(part), "=")
+		if !ok {
+			return nil, fmt.Errorf("transport: bad cluster entry %q", part)
+		}
+		n, err := strconv.Atoi(id)
+		if err != nil {
+			return nil, fmt.Errorf("transport: bad node id %q", id)
+		}
+		out[ddp.NodeID(n)] = addr
+	}
+	return out, nil
 }
 
 // Addr returns the transport's bound listen address (useful when the

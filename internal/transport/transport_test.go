@@ -331,3 +331,18 @@ func TestSendDoesNotRetainValue(t *testing.T) {
 		})
 	}
 }
+
+func TestParseCluster(t *testing.T) {
+	addrs, err := ParseCluster("0=host0:7100, 1=host1:7101,2=host2:7102")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(addrs) != 3 || addrs[1] != "host1:7101" {
+		t.Fatalf("parsed %v", addrs)
+	}
+	for _, bad := range []string{"", "x", "a=b=c=d", "q=host:1"} {
+		if _, err := ParseCluster(bad); err == nil {
+			t.Errorf("spec %q accepted", bad)
+		}
+	}
+}
