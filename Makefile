@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-bench flake race race-hot lint vet check bench bench-smoke live-smoke server-smoke bench-scale clean
+.PHONY: all build test test-bench flake race race-hot lint vet check bench bench-smoke live-smoke server-smoke examples-smoke bench-scale clean
 
 all: build
 
@@ -96,6 +96,19 @@ server-smoke:
 	  kill $$pids; wait; \
 	  [ $$status = 0 ] || cat $$dir/node*.log; \
 	fi; \
+	rm -rf $$dir; exit $$status
+
+# Runs the examples built on the in-process API (node sessions):
+# quickstart, resilience and scope, each of which exits non-zero when
+# what it shows does not hold. socialnetwork (~95 s) and ycsb (~14 s)
+# are too slow for a smoke step.
+examples-smoke:
+	@dir=$$(mktemp -d); status=0; \
+	$(GO) build -o $$dir/ ./examples/quickstart ./examples/resilience ./examples/scope || status=1; \
+	for ex in quickstart resilience scope; do \
+	  [ $$status = 0 ] || break; \
+	  echo "== examples/$$ex"; $$dir/$$ex || status=1; \
+	done; \
 	rm -rf $$dir; exit $$status
 
 # Open-loop scale sweep: the coordinated-omission-safe load engine

@@ -103,12 +103,12 @@ func run(spec string, args []string, out io.Writer) error {
 	switch {
 	case resp.Status == transport.StatusShed:
 		return fmt.Errorf("node %d shed the request (admission window full)", nodes[0])
+	case resp.Status == transport.StatusNotFound:
+		fmt.Fprintln(out, "NIL")
 	case resp.Status != transport.StatusOK:
 		return fmt.Errorf("node %d failed the request", nodes[0])
 	case req.Op == transport.OpClientStats:
 		fmt.Fprintln(out, string(resp.Value))
-	case req.Op == transport.OpClientRead && len(resp.Value) == 0:
-		fmt.Fprintln(out, "NIL") // a missing key; an empty value reads the same
 	case req.Op == transport.OpClientRead:
 		fmt.Fprintln(out, "OK", string(resp.Value))
 	default:

@@ -52,6 +52,10 @@ func TestCommandsOnTCPCluster(t *testing.T) {
 		if got := cmd(t, spec(1), "get", "43"); got != "NIL" {
 			t.Fatalf("get of a missing key: %q", got)
 		}
+		cmd(t, spec(0), "set", "44", "")
+		if got := cmd(t, spec(0), "get", "44"); got != "OK" {
+			t.Fatalf("get of an empty value: %q", got)
+		}
 	})
 
 	t.Run("errors", func(t *testing.T) {

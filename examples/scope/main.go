@@ -1,7 +1,8 @@
 // Scope persistency: group writes into a scope and make them durable
 // everywhere with one [PERSIST]sc — the <Lin, Scope> model on a live
 // cluster. Demonstrates that scoped writes return fast (no persist in
-// the critical path) and that Persist() is the durability barrier.
+// the critical path) and that a session's Persist() is the durability
+// barrier.
 //
 // Run: go run ./examples/scope
 package main
@@ -30,12 +31,13 @@ func main() {
 	n0 := nodes[0]
 	fmt.Println("3-node cluster under <Lin, Scope>")
 
-	// A scope groups related updates: say, one user's checkout.
-	sc := n0.NewScope()
+	// A session's scope groups related updates: say, one user's
+	// checkout. Its first write opens the scope, Persist flushes it.
+	checkout := n0.Session()
 	keys := []ddp.Key{101, 102, 103, 104}
 	writeStart := time.Now()
 	for i, k := range keys {
-		if err := n0.WriteScoped(k, []byte(fmt.Sprintf("order-line-%d", i)), sc); err != nil {
+		if err := checkout.Write(k, []byte(fmt.Sprintf("order-line-%d", i))); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -46,7 +48,7 @@ func main() {
 
 	durableBefore := nodes[1].Log().Len()
 	persistStart := time.Now()
-	if err := n0.Persist(sc); err != nil {
+	if err := checkout.Persist(); err != nil {
 		log.Fatal(err)
 	}
 	persistDur := time.Since(persistStart)

@@ -92,7 +92,7 @@ const (
 // The other fields are the operation's own state, which the store
 // carries but never reads: its write (TS, Scope), the node it answers
 // (an INV's coordinator, or a remote client, with its request id), and
-// an in-process caller's completion, of the owner's type.
+// a session caller's completion, of the owner's type.
 type Waiter struct {
 	Until  Until
 	Obs    ddp.Timestamp
@@ -211,6 +211,10 @@ func (r *Record) Publish(v []byte, ts ddp.Timestamp) {
 	r.seq.Add(1)
 }
 
+// Published reports whether the record holds a value (possibly
+// empty): false until its first Publish or SetValue.
+func (r *Record) Published() bool { return r.vlen.Load() >= 0 }
+
 // SetValue is Publish without a timestamp move — initialization paths
 // (Preload) that install bytes without driving the DDP metadata.
 // The caller holds the record lock.
@@ -291,6 +295,9 @@ func (r *Record) ReadInto(buf []byte) (v []byte, ok bool) {
 		if cap(buf) < n {
 			buf = growBuf(buf, n)
 		}
+		if buf == nil {
+			buf = noValue[:0:0] // an empty value is not a missing one
+		}
 		buf = buf[:n]
 		i := 0
 		for ; i+8 <= n; i += 8 {
@@ -307,6 +314,10 @@ func (r *Record) ReadInto(buf []byte) (v []byte, ok bool) {
 	}
 	return nil, false
 }
+
+// noValue backs the empty, non-nil result of reading an empty value
+// into a nil buffer.
+var noValue [1]byte
 
 // growBuf returns a buffer of at least capacity n, preserving nothing
 // (the caller overwrites the contents). Kept off the annotated fast

@@ -22,6 +22,19 @@ func TestReadIntoNeverPublished(t *testing.T) {
 	}
 }
 
+// TestReadIntoEmptyValue: an empty published value reads as a non-nil
+// empty slice even into a nil buffer, so it never looks unpublished.
+func TestReadIntoEmptyValue(t *testing.T) {
+	r := newRecord(1)
+	r.Lock()
+	r.Publish(nil, ts(0, 1))
+	r.Unlock()
+	v, ok := r.ReadInto(nil)
+	if !ok || v == nil || len(v) != 0 || !r.Published() {
+		t.Fatalf("empty value: got (%v, %v), published %v; want a non-nil empty slice", v, ok, r.Published())
+	}
+}
+
 func TestReadIntoSeesPublish(t *testing.T) {
 	r := newRecord(1)
 	r.Lock()

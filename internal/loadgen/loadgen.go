@@ -32,7 +32,7 @@ type Result struct {
 	Conns   int
 
 	Offered   int64 // arrivals scheduled inside the issue window
-	Completed int64 // StatusOK responses received
+	Completed int64 // StatusOK (and a missing key's StatusNotFound) responses received
 	// ShedWindow counts arrivals abandoned unissued after waiting a
 	// full drain grace for a window slot — only a cluster that stopped
 	// responding entirely produces them. A merely *overloaded* cluster
@@ -411,7 +411,7 @@ func (e *engine) receiver(c *conn, stop <-chan struct{}) {
 		}
 		now := time.Since(e.start).Nanoseconds()
 		switch f.Resp.Status {
-		case transport.StatusOK:
+		case transport.StatusOK, transport.StatusNotFound:
 			e.completed.Add(1)
 			if c.kind[slot] == slotRead {
 				e.intendedRd.Observe(now - c.intended[slot])

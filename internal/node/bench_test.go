@@ -47,22 +47,21 @@ func BenchmarkNodeWrite(b *testing.B) {
 				n := benchCluster(b, model, d)
 				b.ResetTimer()
 				if model == ddp.LinScope {
-					sc := n.NewScope()
+					s := n.Session()
 					inScope := 0
 					for i := 0; i < b.N; i++ {
-						if err := n.WriteScoped(ddp.Key(i&255), val, sc); err != nil {
+						if err := s.Write(ddp.Key(i&255), val); err != nil {
 							b.Fatal(err)
 						}
 						if inScope++; inScope == scopeFlushEvery {
-							if err := n.Persist(sc); err != nil {
+							if err := s.Persist(); err != nil {
 								b.Fatal(err)
 							}
-							sc = n.NewScope()
 							inScope = 0
 						}
 					}
 					if inScope > 0 {
-						if err := n.Persist(sc); err != nil {
+						if err := s.Persist(); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -130,23 +129,22 @@ func BenchmarkNodeWriteParallel(b *testing.B) {
 				b.ResetTimer()
 				b.RunParallel(func(pb *testing.PB) {
 					if model == ddp.LinScope {
-						sc := n.NewScope()
+						s := n.Session()
 						inScope := 0
 						for pb.Next() {
 							i := ctr.Add(1)
-							if err := n.WriteScoped(ddp.Key(i&1023), val, sc); err != nil {
+							if err := s.Write(ddp.Key(i&1023), val); err != nil {
 								b.Fatal(err)
 							}
 							if inScope++; inScope == scopeFlushEvery {
-								if err := n.Persist(sc); err != nil {
+								if err := s.Persist(); err != nil {
 									b.Fatal(err)
 								}
-								sc = n.NewScope()
 								inScope = 0
 							}
 						}
 						if inScope > 0 {
-							if err := n.Persist(sc); err != nil {
+							if err := s.Persist(); err != nil {
 								b.Fatal(err)
 							}
 						}

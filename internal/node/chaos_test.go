@@ -43,14 +43,9 @@ func TestChaosConvergence(t *testing.T) {
 					for i := 0; i < 10; i++ {
 						key := ddp.Key(i % keys)
 						val := []byte(fmt.Sprintf("chaos-n%d-%d", nd.ID(), i))
-						var err error
-						if model == ddp.LinScope {
-							sc := nd.NewScope()
-							if err = nd.WriteScoped(key, val, sc); err == nil {
-								err = nd.Persist(sc)
-							}
-						} else {
-							err = nd.Write(key, val)
+						err := nd.Write(key, val)
+						if err == nil && model == ddp.LinScope {
+							err = nd.Persist()
 						}
 						if err != nil {
 							t.Errorf("write: %v", err)

@@ -30,8 +30,9 @@ func Example() {
 	// Output: leaderless
 }
 
-// ExampleNode_Persist shows the <Lin, Scope> durability barrier: scoped
-// writes return fast, Persist makes the whole scope durable everywhere.
+// ExampleNode_Persist shows the <Lin, Scope> durability barrier on a
+// node's default session: its writes return fast, and Persist makes
+// every one of them durable everywhere.
 func ExampleNode_Persist() {
 	net := transport.NewMemNetwork(2)
 	nodes := make([]*node.Node, 2)
@@ -42,13 +43,12 @@ func ExampleNode_Persist() {
 	}
 	n := nodes[0]
 
-	sc := n.NewScope()
 	for key := ddp.Key(1); key <= 3; key++ {
-		if err := n.WriteScoped(key, []byte("order-line"), sc); err != nil {
+		if err := n.Write(key, []byte("order-line")); err != nil {
 			panic(err)
 		}
 	}
-	if err := n.Persist(sc); err != nil { // the durability barrier
+	if err := n.Persist(); err != nil { // the durability barrier
 		panic(err)
 	}
 	durable := nodes[1].Log().LocallyDurable(2, ddp.Timestamp{Node: 0, Version: 1})

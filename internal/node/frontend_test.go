@@ -86,6 +86,22 @@ func TestClientFrontendWriteReadPersist(t *testing.T) {
 	}
 }
 
+// TestClientReadNotFound: a key holding an empty value reads StatusOK
+// and empty, a key never written reads StatusNotFound.
+func TestClientReadNotFound(t *testing.T) {
+	_, client := newClientCluster(t, 3, ddp.LinSynch, nil)
+	set := call(t, client, 0, 1, transport.ClientRequest{Op: transport.OpClientWrite, Key: 5, Value: []byte{}})
+	if set.Status != transport.StatusOK {
+		t.Fatalf("set 5 \"\" status = %v", set.Status)
+	}
+	if r := call(t, client, 0, 2, transport.ClientRequest{Op: transport.OpClientRead, Key: 5}); r.Status != transport.StatusOK || len(r.Value) != 0 {
+		t.Fatalf("get 5 = %+v, want StatusOK and an empty value", r)
+	}
+	if r := call(t, client, 0, 3, transport.ClientRequest{Op: transport.OpClientRead, Key: 6}); r.Status != transport.StatusNotFound {
+		t.Fatalf("get 6 = %+v, want StatusNotFound", r)
+	}
+}
+
 // TestClientFrontendSheds pins the admission contract: a full window
 // answers StatusShed immediately instead of queueing unboundedly, and
 // every admitted request is still answered — offered equals responses.

@@ -27,7 +27,7 @@ func (n *Node) handleMessage(m ddp.Message) {
 		n.handleAck(m.Key, m.TS, m.Kind, m.From)
 	case ddp.KindVal, ddp.KindValC, ddp.KindValP:
 		if m.Kind == ddp.KindValP && m.Scope != 0 && m.TS == (ddp.Timestamp{}) {
-			n.handleScopeValP(m)
+			n.scopeDurable(m.Scope)
 			return
 		}
 		n.handleVal(m)

@@ -45,11 +45,10 @@ type Config struct {
 	// write path (obs.Phase taxonomy). Nil disables tracing; the hot
 	// path then pays a single predictable branch per phase boundary.
 	Tracer *obs.Tracer
-	// ClientWindow bounds the remote-client frontend: a
-	// FrameClientRequest runs at admission, on the delivery goroutine,
-	// and at most this many client operations are in flight at once;
-	// a request beyond that is shed with an explicit StatusShed
-	// response. Zero selects the default window of 1024.
+	// ClientWindow bounds the client frontend: at most this many client
+	// operations, remote or from in-process sessions, are in flight at
+	// once; one beyond that is shed (StatusShed, ErrShed). Zero selects
+	// the default window of 1024.
 	ClientWindow int
 	// Offload, when non-nil, enables the soft-NIC offload engine
 	// (MINOS-O): protocol messages for keys the adaptive policy deems
@@ -75,18 +74,16 @@ type txnKey struct {
 
 // writeTxn is one in-flight client-write at its coordinator and its
 // own continuation: acks, the local persist, a peer failure or Close
-// advance it from whichever goroutine delivers them. mu guards the
-// acks, persisted and busy; stage and tc belong to the busy role.
+// advance it from whichever goroutine delivers them, and it answers its
+// client at the model's Return point. mu guards the acks, persisted and
+// busy; stage and tc belong to the busy role.
 type writeTxn struct {
 	mu        sync.Mutex
-	reply     reply
+	client    client
 	txn       *ddp.WriteTxn // key, ts, scope and the follower acks
 	followers []ddp.NodeID
 	r         *kv.Record
 	tc        *traceCtx
-	// refs counts the protocol (until retire) and an in-process caller
-	// (until it read the outcome); the last release recycles the txn.
-	refs      atomic.Int32
 	busy      bool // a goroutine is running the txn's steps
 	persisted bool // the local persist is durable
 	stage     uint8
@@ -95,47 +92,15 @@ type writeTxn struct {
 // wtPool recycles writeTxn state (including the WriteTxn ack maps, via
 // Reset) across writes.
 var wtPool = sync.Pool{New: func() any {
-	wt := &writeTxn{txn: &ddp.WriteTxn{}}
-	wt.reply.cond = sync.NewCond(&wt.mu)
-	return wt
+	return &writeTxn{txn: &ddp.WriteTxn{}}
 }}
 
-// getWriteTxn checks one write's state out of the pool, with the busy
-// role held by the issuing goroutine.
-//
-//minos:hotpath
-func (n *Node) getWriteTxn(r *kv.Record, key ddp.Key, ts ddp.Timestamp, sc ddp.ScopeID, followers []ddp.NodeID, c client, tc *traceCtx) *writeTxn {
-	wt := wtPool.Get().(*writeTxn)
-	// followers comes from an immutable liveness snapshot; aliasing it
-	// is safe and keeps the write fast path allocation-free.
-	wt.followers = followers
-	wt.txn.Reset(n.policy, n.id, key, ts, len(followers))
-	wt.txn.Scope = sc
-	wt.r, wt.tc = r, tc
-	wt.reply.client, wt.reply.err = c, nil
-	wt.reply.done.Store(false)
-	wt.refs.Store(1)
-	if !c.remote {
-		wt.refs.Store(2)
-	}
-	wt.busy, wt.persisted, wt.stage = true, false, awaitConsistent
-	return wt
-}
-
-// release drops one hold on wt; the last recycles it.
-func (n *Node) release(wt *writeTxn) {
-	if wt.refs.Add(-1) == 0 {
-		wtPool.Put(wt)
-	}
-}
-
-// scopePersist is one [PERSIST]sc at its coordinator. Its fields are
-// guarded by scopeMu, which is also its reply's cond lock.
+// scopePersist is one [PERSIST]sc at its coordinator, guarded by
+// scopeMu.
 type scopePersist struct {
-	reply     reply
+	client    client
 	followers []ddp.NodeID
 	got       map[ddp.NodeID]bool
-	entries   []nvm.Update
 	local     bool // the coordinator's own flush drained
 }
 
@@ -180,20 +145,23 @@ type Node struct {
 	log   *nvm.Log
 	pipe  *nvm.Pipeline
 	// commitInline: a client waits on the durable acks (Synch, Strict),
-	// so the delivery goroutine commits the persists it defers itself,
-	// at the end of each receive burst (Flush).
+	// so the goroutine that defers a persist commits it itself (Flush):
+	// the delivery goroutine at the end of each receive burst, a session
+	// caller as its wait starts.
 	commitInline bool
 	// off is the soft-NIC offload engine (MINOS-O); nil runs pure
 	// MINOS-B, every message on the delivery goroutine.
 	off *offload.Engine
-	// fe is the remote-client frontend: bounded admission into the same
-	// write, read and scope persist paths local callers use.
-	fe *frontend
+	// fe is the client frontend: bounded admission of every client
+	// operation, remote or in-process; sess is the default session
+	// behind Node.Write, Read, ReadInto and Persist.
+	fe   *frontend
+	sess *Session
 
 	// poller is non-nil when the transport polls inline: frames then
 	// arrive on whichever goroutine holds its poll token (borrowing
-	// transport storage) instead of on recvLoop, and an in-process
-	// caller waiting on its operation drives the poll itself.
+	// transport storage) instead of on recvLoop, and a session caller
+	// waiting on its operation drives the poll itself.
 	poller transport.InlinePoller
 
 	// vals coalesces release-side VAL broadcasts from back-to-back
@@ -321,6 +289,7 @@ func New(cfg Config, tr transport.Transport) *Node {
 		OnAck:   n.sendDurableAck,
 	})
 	n.fe = newFrontend(n, cfg.ClientWindow)
+	n.sess = n.Session()
 	if cfg.Offload != nil {
 		oc := *cfg.Offload
 		oc.Handler = n.handleOffloaded
@@ -498,7 +467,7 @@ func (n *Node) handleFrame(f transport.Frame) {
 	case transport.FrameHeartbeat:
 		// noteAlive above is the whole job.
 	case transport.FrameClientRequest:
-		n.fe.admit(f)
+		n.fe.exec(client{to: f.From, id: f.Client, op: f.Req.Op}, f.Req.Key, f.Req.Value)
 	case transport.FrameRecoveryRequest:
 		n.spawnRecovery(f.From, f.Since)
 	case transport.FrameRecoveryEntries:
@@ -506,19 +475,14 @@ func (n *Node) handleFrame(f transport.Frame) {
 	}
 }
 
-// spawnRecovery serves a log-shipping request off the delivery path;
-// recovery is rare and EntriesSince is O(log tail).
+// spawnRecovery serves a log-shipping request off the delivery path,
+// on a goroutine Close waits for; recovery is rare and EntriesSince is
+// O(log tail).
 func (n *Node) spawnRecovery(from ddp.NodeID, since uint64) {
-	n.spawn(func() { n.serveRecovery(from, since) })
-}
-
-// spawn runs fn on a goroutine Close waits for: the rare work that must
-// not hold a delivery goroutine.
-func (n *Node) spawn(fn func()) {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		fn()
+		n.serveRecovery(from, since)
 	}()
 }
 
@@ -556,15 +520,13 @@ func (n *Node) fire(r *kv.Record, closing bool) {
 
 // resume runs a fired waiter's next step.
 func (n *Node) resume(r *kv.Record, w kv.Waiter) {
-	switch {
-	case w.Reply != nil: // an in-process read, which then reads again
-		n.finish(w.Reply.(*reply), nil)
-	case w.Until == kv.UntilUnlocked: // a remote read
-		n.fe.readStalled(r, client{remote: true, to: w.To, id: w.Client, op: transport.OpClientRead})
-	default: // an obsolete INV
-		r.Lock()
-		n.obsoleteAck(r, w)
+	if w.Until == kv.UntilUnlocked { // a stalled client read
+		sl, _ := w.Reply.(*slot)
+		n.fe.readStalled(r, client{to: w.To, id: w.Client, op: transport.OpClientRead, sl: sl})
+		return
 	}
+	r.Lock() // an obsolete INV
+	n.obsoleteAck(r, w)
 }
 
 // send transmits a protocol message; transport failures are left to the
@@ -638,7 +600,7 @@ func (n *Node) addPending(key ddp.Key, ts ddp.Timestamp, wt *writeTxn) {
 
 // retire ends a write transaction. Taking the stripe lock is the
 // quiescence point: events only reach a txn under it (handleAck, sweep),
-// so once the delete commits none can touch what the release recycles.
+// so once the delete commits none can touch what the pool recycles.
 //
 //minos:hotpath
 func (n *Node) retire(wt *writeTxn) {
@@ -646,7 +608,7 @@ func (n *Node) retire(wt *writeTxn) {
 	s.mu.Lock()
 	delete(s.pending, txnKey{wt.txn.Key, wt.txn.TS})
 	s.mu.Unlock()
-	n.release(wt)
+	wtPool.Put(wt)
 }
 
 // persistThenAck makes the INV's update durable and then sends the

@@ -152,16 +152,16 @@ func TestEventualPersistsEventually(t *testing.T) {
 
 func TestScopePersist(t *testing.T) {
 	nodes, _ := newCluster(t, 3, ddp.LinScope, nil)
-	sc := nodes[0].NewScope()
+	s := nodes[0].Session()
 	for i := 0; i < 4; i++ {
-		if err := nodes[0].WriteScoped(ddp.Key(20+i), []byte{byte(i)}, sc); err != nil {
+		if err := s.Write(ddp.Key(20+i), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Before the flush, followers have buffered but not necessarily
 	// persisted; after Persist returns, everything must be durable
 	// everywhere.
-	if err := nodes[0].Persist(sc); err != nil {
+	if err := s.Persist(); err != nil {
 		t.Fatal(err)
 	}
 	for _, nd := range nodes {
@@ -190,16 +190,16 @@ func TestMutualScopePersist(t *testing.T) {
 	for _, nd := range nodes {
 		nd := nd
 		go func() {
+			s := nd.Session()
 			for r := 0; r < rounds; r++ {
-				sc := nd.NewScope()
 				for i := 0; i < perScope; i++ {
 					key := ddp.Key(100*int(nd.ID()) + r*perScope + i)
-					if err := nd.WriteScoped(key, []byte{byte(r), byte(i)}, sc); err != nil {
+					if err := s.Write(key, []byte{byte(r), byte(i)}); err != nil {
 						errs <- err
 						return
 					}
 				}
-				if err := nd.Persist(sc); err != nil {
+				if err := s.Persist(); err != nil {
 					errs <- err
 					return
 				}
@@ -238,25 +238,16 @@ func TestConcurrentWritersConverge(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					sc := nd.NewScope()
 					for i := 0; i < perNode; i++ {
 						key := ddp.Key(i % keys)
 						val := []byte(fmt.Sprintf("n%d-i%d", nd.ID(), i))
-						var err error
-						if nd.Model() == ddp.LinScope {
-							err = nd.WriteScoped(key, val, sc)
-						} else {
-							err = nd.Write(key, val)
-						}
-						if err != nil {
+						if err := nd.Write(key, val); err != nil {
 							t.Errorf("write: %v", err)
 							return
 						}
 					}
-					if nd.Model() == ddp.LinScope {
-						if err := nd.Persist(sc); err != nil {
-							t.Errorf("persist: %v", err)
-						}
+					if err := nd.Persist(); err != nil {
+						t.Errorf("persist: %v", err)
 					}
 				}()
 			}

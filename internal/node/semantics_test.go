@@ -153,52 +153,32 @@ func mustRead(t *testing.T, n *Node, key ddp.Key) []byte {
 	return v
 }
 
-// TestWriteScopedFallsBackOutsideScopeModel: WriteScoped under a
-// non-Scope model behaves as a plain write.
-func TestWriteScopedFallsBackOutsideScopeModel(t *testing.T) {
-	nodes, _ := newCluster(t, 2, ddp.LinSynch, nil)
-	if err := nodes[0].WriteScoped(1, []byte("x"), 77); err != nil {
-		t.Fatal(err)
-	}
-	if !nodes[1].Log().LocallyDurable(1, ddp.Timestamp{Node: 0, Version: 1}) {
-		t.Error("fallback write must follow Synch durability, not buffer in a scope")
-	}
-	// Persist on a non-scope model is a no-op, not an error.
-	if err := nodes[0].Persist(77); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestScopeIsolation: flushing one scope must not persist another
-// scope's buffered writes.
+// TestScopeIsolation: flushing one session's scope must not persist
+// another session's buffered writes.
 func TestScopeIsolation(t *testing.T) {
 	nodes, _ := newCluster(t, 2, ddp.LinScope, nil)
-	scA := nodes[0].NewScope()
-	scB := nodes[0].NewScope()
-	if scA == scB {
-		t.Fatal("scope IDs must be unique")
-	}
-	if err := nodes[0].WriteScoped(1, []byte("a"), scA); err != nil {
+	a, b := nodes[0].Session(), nodes[0].Session()
+	if err := a.Write(1, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := nodes[0].WriteScoped(2, []byte("b"), scB); err != nil {
+	if err := b.Write(2, []byte("b")); err != nil {
 		t.Fatal(err)
 	}
-	if err := nodes[0].Persist(scA); err != nil {
+	if err := a.Persist(); err != nil {
 		t.Fatal(err)
 	}
 	ts1 := ddp.Timestamp{Node: 0, Version: 1}
 	if !nodes[1].Log().LocallyDurable(1, ts1) {
-		t.Error("scope A not durable after its flush")
+		t.Error("session A's scope not durable after its flush")
 	}
 	if nodes[1].Log().LocallyDurable(2, ts1) {
-		t.Error("scope B leaked into scope A's flush")
+		t.Error("session B's scope leaked into session A's flush")
 	}
-	if err := nodes[0].Persist(scB); err != nil {
+	if err := b.Persist(); err != nil {
 		t.Fatal(err)
 	}
 	if !nodes[1].Log().LocallyDurable(2, ts1) {
-		t.Error("scope B not durable after its own flush")
+		t.Error("session B's scope not durable after its own flush")
 	}
 }
 

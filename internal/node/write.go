@@ -1,130 +1,16 @@
 package node
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"github.com/minos-ddp/minos/internal/ddp"
-	"github.com/minos-ddp/minos/internal/kv"
 	"github.com/minos-ddp/minos/internal/obs"
-	"github.com/minos-ddp/minos/internal/transport"
 )
-
-// client names who an operation answers: a remote client (a response
-// frame to to, echoing id) or, as the zero value, an in-process caller.
-type client struct {
-	remote bool
-	to     ddp.NodeID
-	id     uint64
-	op     transport.ClientOp
-}
-
-// reply is an operation's completion: its client and, for an in-process
-// caller, the outcome and the condition it parks on.
-type reply struct {
-	client
-	cond *sync.Cond
-	done atomic.Bool
-	err  error
-}
-
-// replyPool recycles the replies in-process readers park on; a write's
-// reply lives in its pooled writeTxn.
-var replyPool = sync.Pool{New: func() any {
-	return &reply{cond: sync.NewCond(new(sync.Mutex))}
-}}
-
-// finish delivers an operation's outcome exactly once: a response frame
-// for a remote client, a wake-up for an in-process one.
-func (n *Node) finish(rep *reply, err error) {
-	if rep.remote {
-		n.fe.complete(rep.client, nil, err)
-		return
-	}
-	rep.cond.L.Lock()
-	rep.err = err
-	rep.done.Store(true)
-	rep.cond.Broadcast()
-	rep.cond.L.Unlock()
-}
-
-// Inline-polling wait tuning: an in-process caller spins this many
-// rounds, each draining inbound frames itself (PollInline) or yielding,
-// before parking. Over the ring at zero persist delay a whole write
-// completes within a few rounds.
-const (
-	ackSpinRounds = 256
-	ackPollBudget = 32
-)
-
-// wait parks an in-process caller until its operation finishes. With
-// poll set, over an inline-polling transport it first drives the receive
-// path itself, so the acknowledgments that complete a write or a scope
-// flush run on its goroutine. A read stalled on an RDLock does not poll:
-// the release it waits for is another write's, and spinning only takes
-// the CPU that write needs (on 2 vCPUs it tripled the write p90 of an
-// in-process writer beside a stalled in-process reader).
-//
-//minos:hotpath
-func (n *Node) wait(rep *reply, poll bool) error {
-	if poll && n.poller != nil {
-		for spin := 0; spin < ackSpinRounds && !rep.done.Load(); spin++ {
-			// A spinning caller must not sit on staged VAL releases:
-			// its peers' hot-key writes wait on them.
-			n.flushVals()
-			if n.poller.PollInline(ackPollBudget) == 0 {
-				runtime.Gosched()
-			}
-		}
-	}
-	// Parked callers cannot piggyback flushes; drain the stage first so
-	// peers are not left waiting on our releases.
-	n.flushVals()
-	rep.cond.L.Lock()
-	for !rep.done.Load() {
-		rep.cond.Wait()
-	}
-	rep.cond.L.Unlock()
-	return rep.err
-}
-
-// Write performs a client-write: replicate value under key to every
-// node per the configured DDP model (Fig 2 Coordinator). It returns once
-// the model's visibility/durability conditions for a response hold.
-func (n *Node) Write(key ddp.Key, value []byte) error {
-	return n.writeScoped(key, value, 0)
-}
-
-// WriteScoped is Write tagging the update with scope sc (<Lin, Scope>).
-func (n *Node) WriteScoped(key ddp.Key, value []byte, sc ddp.ScopeID) error {
-	if !n.policy.Scoped {
-		return n.Write(key, value)
-	}
-	return n.writeScoped(key, value, sc)
-}
-
-//minos:hotpath
-func (n *Node) writeScoped(key ddp.Key, value []byte, sc ddp.ScopeID) error {
-	wt, err := n.write(key, value, sc, client{})
-	if wt == nil {
-		return err
-	}
-	err = n.wait(&wt.reply, true)
-	n.release(wt)
-	return err
-}
 
 // write issues a client-write (Fig 2 L4-L18) on the caller's goroutine
-// and hands the transaction to advance; the outcome goes to c. An
-// in-process caller gets the txn to wait on, or nil and the outcome
-// when the write ended before it had one. A remote write never blocks.
+// and hands the transaction to advance, which answers c. It never
+// blocks.
 //
 //minos:hotpath
-func (n *Node) write(key ddp.Key, value []byte, sc ddp.ScopeID, c client) (*writeTxn, error) {
-	if n.closed.Load() {
-		return nil, ErrClosed
-	}
+func (n *Node) write(key ddp.Key, value []byte, sc ddp.ScopeID, c client) {
 	n.Stats.Writes.Add(1)
 	tc := n.startTrace(key)
 	r := n.store.GetOrCreate(key)
@@ -139,8 +25,14 @@ func (n *Node) write(key ddp.Key, value []byte, sc ddp.ScopeID, c client) (*writ
 	tc.setVer(ts.Version)
 	r.SnatchRDLock(ts) // L8
 
+	// followers comes from an immutable liveness snapshot; aliasing it
+	// is safe and keeps the write fast path allocation-free.
 	followers := n.liveFollowers()
-	wt := n.getWriteTxn(r, key, ts, sc, followers, c, tc)
+	wt := wtPool.Get().(*writeTxn)
+	wt.txn.Reset(n.policy, n.id, key, ts, len(followers))
+	wt.txn.Scope = sc
+	wt.followers, wt.r, wt.tc, wt.client = followers, r, tc, c
+	wt.busy, wt.persisted, wt.stage = true, false, awaitConsistent // issue holds the busy role
 	n.addPending(key, ts, wt)
 	tc.mark(obs.PhaseIssue) // timestamp issued, locks held, txn pending
 
@@ -162,12 +54,14 @@ func (n *Node) write(key ddp.Key, value []byte, sc ddp.ScopeID, c client) (*writ
 	// Step d (L18 / Fig 3): persist the local update. The pipeline copies
 	// the value; a model that tracks persistency learns of the group
 	// commit through an acknowledgment addressed to this node, which the
-	// committing goroutine delivers to the transaction (sendDurableAck);
-	// a remote write's waits for the delivery goroutine's Flush.
+	// committing goroutine delivers to the transaction (sendDurableAck).
+	// Under commitInline it waits for the issuing goroutine's Flush: the
+	// delivery goroutine's at the end of its burst, a session caller's at
+	// the start of its wait.
 	switch {
 	case n.policy.CoordPersist == ddp.CoordPersistOnScopeFlush:
 		n.bufferScope(sc, key, ts, value)
-	case c.remote && n.commitInline:
+	case n.commitInline:
 		n.pipe.DeferAck(key, ts, value, sc, n.id, n.durableAck, 0)
 	case n.policy.TracksPersistency:
 		n.pipe.EnqueueAck(key, ts, value, sc, n.id, n.durableAck, 0)
@@ -177,10 +71,6 @@ func (n *Node) write(key ddp.Key, value []byte, sc ddp.ScopeID, c client) (*writ
 	tc.mark(obs.PhasePersistEnqueue)
 
 	n.advance(wt)
-	if c.remote {
-		return nil, nil
-	}
-	return wt, nil
 }
 
 // Write-transaction stages: every txn waits for its consistency point;
@@ -240,7 +130,7 @@ func (n *Node) step(wt *writeTxn) bool {
 	key, ts, r, tc := wt.txn.Key, wt.txn.TS, wt.r, wt.tc
 	if n.closed.Load() {
 		if wt.stage == awaitConsistent || n.policy.Return == ddp.ReturnWhenDurable {
-			n.finish(&wt.reply, ErrClosed)
+			n.fe.complete(wt.client, nil, ErrClosed)
 		}
 		n.retire(wt)
 		return true
@@ -265,7 +155,7 @@ func (n *Node) step(wt *writeTxn) bool {
 			// format's non-interleaving invariant.
 			tc.mark(obs.PhaseCompletion)
 			wt.tc = nil
-			n.finish(&wt.reply, nil)
+			n.fe.complete(wt.client, nil, nil)
 		}
 		if !n.policy.TracksPersistency {
 			n.retire(wt)
@@ -287,7 +177,7 @@ func (n *Node) step(wt *writeTxn) bool {
 	}
 	if n.policy.Return == ddp.ReturnWhenDurable {
 		tc.mark(obs.PhaseCompletion)
-		n.finish(&wt.reply, nil)
+		n.fe.complete(wt.client, nil, nil)
 	}
 	n.retire(wt)
 	return true
@@ -352,84 +242,4 @@ func (n *Node) acked(wt *writeTxn) (doneC, doneP bool) {
 		}
 	}
 	return doneC, doneP
-}
-
-// Read performs a client-read (§III-D): always local, stalled only
-// while the record's RDLock is held by an in-flight write. It returns a
-// copy of the value (nil if the key has never been written).
-func (n *Node) Read(key ddp.Key) ([]byte, error) {
-	return n.ReadInto(key, nil)
-}
-
-// ReadInto is Read with a caller-supplied buffer: the value is copied
-// into buf (reusing its capacity, growing it only when too small) and
-// the filled slice returned, so a client that recycles its buffer reads
-// without allocating. The steady-state path is the record's seqlock —
-// no mutex, one wait-free store lookup; a read that finds the record's
-// RDLock held by an in-flight write (the §III-D read stall), or keeps
-// losing the copy to publications, falls back to readParked.
-//
-//minos:hotpath
-func (n *Node) ReadInto(key ddp.Key, buf []byte) ([]byte, error) {
-	r, v, err := n.readFast(key, buf)
-	if r != nil {
-		return n.readParked(r, buf)
-	}
-	return v, err
-}
-
-// readFast is the read's lock-free half. It returns the record only
-// when the read must fall back to the record lock.
-//
-//minos:hotpath
-func (n *Node) readFast(key ddp.Key, buf []byte) (*kv.Record, []byte, error) {
-	if n.closed.Load() {
-		return nil, nil, ErrClosed
-	}
-	n.Stats.Reads.Add(1)
-	r := n.store.Get(key)
-	if r == nil {
-		// Never written or preloaded anywhere: nothing to stall on.
-		return nil, nil, nil
-	}
-	if v, ok := r.ReadInto(buf); ok {
-		return nil, v, nil
-	}
-	return r, nil, nil
-}
-
-// readOrPark copies r's value into buf under the record lock or, while
-// a write holds the RDLock, parks w for the release to fire and reports
-// parked. A closing node parks nothing and returns ErrClosed.
-func (n *Node) readOrPark(r *kv.Record, w kv.Waiter, buf []byte) (v []byte, parked bool, err error) {
-	r.Lock()
-	defer r.Unlock()
-	if r.Meta.RDLocked() {
-		if !n.park(r, w) {
-			return nil, false, ErrClosed
-		}
-		return nil, true, nil
-	}
-	if r.Value == nil {
-		return nil, false, nil
-	}
-	return append(buf[:0], r.Value...), false, nil
-}
-
-// readParked is the in-process read fallback: it parks the caller on
-// the record until the RDLock's release fires it, then reads again — a
-// newer write may have taken the lock in between.
-func (n *Node) readParked(r *kv.Record, buf []byte) ([]byte, error) {
-	rep := replyPool.Get().(*reply)
-	defer replyPool.Put(rep)
-	for {
-		rep.done.Store(false)
-		v, parked, err := n.readOrPark(r, kv.Waiter{Until: kv.UntilUnlocked, Reply: rep}, buf)
-		if !parked {
-			return v, err
-		}
-		if err := n.wait(rep, false); err != nil {
-			return nil, err
-		}
-	}
 }

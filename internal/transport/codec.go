@@ -71,6 +71,9 @@ const (
 	StatusShed
 	// StatusErr means the operation was admitted but failed.
 	StatusErr
+	// StatusNotFound answers a read of a key the node holds no value
+	// for; an empty value reads StatusOK.
+	StatusNotFound
 )
 
 // ClientRequest is FrameClientRequest's payload.
