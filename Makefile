@@ -42,10 +42,11 @@ race:
 
 # The race detector over the packages whose goroutines share the hot
 # path (the NVM pipeline's worker and inline commits, the node's
-# delivery goroutines, the transports), repeated: short enough for
-# every CI run, unlike the whole-module race pass.
+# delivery goroutines, the transports, the soft-NIC engine's sampled
+# cost stamps and slot moves), repeated: short enough for every CI
+# run, unlike the whole-module race pass.
 race-hot:
-	$(GO) test -race -count=3 ./internal/nvm ./internal/node ./internal/transport
+	$(GO) test -race -count=3 ./internal/nvm ./internal/node ./internal/transport ./internal/offload
 
 # go vet plus the protocol/determinism analyzers (internal/lint). The
 # full nine-analyzer suite runs whole-program (facts flow across

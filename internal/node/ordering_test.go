@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/minos-ddp/minos/internal/ddp"
+	"github.com/minos-ddp/minos/internal/obs"
 	"github.com/minos-ddp/minos/internal/offload"
 	"github.com/minos-ddp/minos/internal/transport"
 )
@@ -17,7 +18,7 @@ import (
 // Under the old goroutine-per-message dispatch a later INV could apply
 // first, turning earlier ones into spurious obsolete entries.
 func TestKeyAffineOrdering(t *testing.T) {
-	keyAffineBurst(t, Config{Model: ddp.LinSynch})
+	keyAffineBurst(t, Config{Model: ddp.LinSynch}, nil)
 }
 
 // TestKeyAffineOrderingAcrossPromotion is the same burst with the
@@ -28,6 +29,13 @@ func TestKeyAffineOrdering(t *testing.T) {
 // so the acknowledgments must still come back in exact version order
 // through the group-commit pipeline both sides share, with and without
 // a modeled device delay (persistDelays).
+//
+// The "cools" rows tick two epochs once the first half of the burst is
+// routed, before it has necessarily drained: the key's next INV finds
+// it cooled (no traffic last epoch), so it goes back to the host behind
+// the drain fence. The second half is paced (each INV sent once the one
+// before is handled) so the drain ends, and the key re-heats and is
+// promoted again within it.
 func TestKeyAffineOrderingAcrossPromotion(t *testing.T) {
 	for _, pd := range persistDelays {
 		t.Run(pd.name, func(t *testing.T) {
@@ -35,11 +43,36 @@ func TestKeyAffineOrderingAcrossPromotion(t *testing.T) {
 				InitialThreshold: 64, MinThreshold: 64,
 				MaxPromotionsPerEpoch: 1 << 20,
 				Epoch:                 -1,
-			}})
+			}}, nil)
 			eng := n.Offload()
 			if eng.Promotions() != 1 || eng.HostFrames() == 0 || eng.NICFrames() == 0 {
 				t.Fatalf("burst did not cross a promotion: %d promotions, %d host frames, %d NIC frames",
 					eng.Promotions(), eng.HostFrames(), eng.NICFrames())
+			}
+		})
+		t.Run(pd.name+"/cools", func(t *testing.T) {
+			n := keyAffineBurst(t, Config{Model: ddp.LinSynch, PersistDelay: pd.delay, Offload: &offload.Config{
+				InitialThreshold: 64, MinThreshold: 64, MaxThreshold: 64,
+				MaxPromotionsPerEpoch: 1 << 20,
+				Epoch:                 -1,
+			}}, func(n *Node, v int) {
+				eng := n.Offload()
+				const half = 100
+				switch {
+				case v == half+1:
+					waitUntil(t, "first half routed", func() bool { return eng.NICFrames()+eng.HostFrames() == half })
+					eng.Tick()
+					eng.Tick()
+				case v > half+1:
+					waitUntil(t, "previous INV handled", func() bool { return n.Stats.InvsHandled.Load() == int64(v-1) })
+				}
+			})
+			eng := n.Offload()
+			var s obs.Snapshot
+			eng.Collect(&s)
+			if eng.Promotions() != 2 || s.Counter("offload.cooled") != 1 || eng.Demotions() != 0 {
+				t.Fatalf("burst did not cool and re-heat: %d promotions, %d cooled, %d overflow demotions",
+					eng.Promotions(), s.Counter("offload.cooled"), eng.Demotions())
 			}
 		})
 	}
@@ -57,9 +90,22 @@ var persistDelays = []struct {
 	{"queued", 20 * time.Microsecond},
 }
 
+// waitUntil polls cond until it holds, failing the test after 10 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+}
+
 // keyAffineBurst runs the TestKeyAffineOrdering burst against one
-// follower built from cfg and returns it (closed at test end).
-func keyAffineBurst(t *testing.T, cfg Config) *Node {
+// follower built from cfg and returns it (closed at test end). A
+// non-nil before runs ahead of sending INV version v.
+func keyAffineBurst(t *testing.T, cfg Config, before func(n *Node, v int)) *Node {
 	t.Helper()
 	net := transport.NewMemNetwork(2)
 	client := net.Endpoint(0) // raw: we play the coordinator by hand
@@ -70,6 +116,9 @@ func keyAffineBurst(t *testing.T, cfg Config) *Node {
 	const key = ddp.Key(7)
 	const writes = 200
 	for v := 1; v <= writes; v++ {
+		if before != nil {
+			before(n, v)
+		}
 		m := ddp.Message{
 			Kind: ddp.KindInv, Key: key,
 			TS:    ddp.Timestamp{Node: 0, Version: ddp.Version(v)},

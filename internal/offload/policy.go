@@ -3,11 +3,12 @@ package offload
 // This file is the adaptive half of the offload boundary: a pure
 // feedback rule that retunes the promotion threshold once per epoch
 // from what the engine observed — the control loop of the SmartNIC
-// flow-offload literature (offload counts, over-offload counts, drop
-// counts per round), applied to MINOS's per-key heat instead of per
-// five-tuple flows. Keeping the rule pure (no clocks, no engine state)
-// is what makes the satellite tests deterministic: drive synthetic
-// epochs through NextThreshold and pin the exact trajectory.
+// flow-offload literature (offload, over-offload and drop counts per
+// round; here the host-vs-NIC cost split is the over-offload signal),
+// applied to MINOS's per-key heat instead of per five-tuple flows.
+// Keeping the rule pure (no clocks, no engine state) makes the tests
+// deterministic: drive synthetic epochs through NextThreshold and pin
+// the exact trajectory.
 
 // Feedback is one epoch's observations, the inputs to the threshold
 // rule.
@@ -25,7 +26,19 @@ type Feedback struct {
 	// messages by which path handled them.
 	NICFrames  int64
 	HostFrames int64
+	// Residency and Work sum the epoch's cost-sampled vFIFO entries'
+	// ns from admission to handler start, and handler start to end.
+	Residency, Work int64
 }
+
+// overcommitRatio is the residency-to-work ratio above which an epoch
+// counts as an over-commit. For an M/M/1 queue W_q/S = ρ/(1−ρ), so
+// W_q > 4·S means the pool is over 80% busy; a soft NIC whose cores
+// share the host's CPUs also reads its wait for a CPU here.
+const overcommitRatio = 4
+
+// overcommitted: sampled entries waited over overcommitRatio × their work.
+func (fb Feedback) overcommitted() bool { return fb.Residency > overcommitRatio*fb.Work }
 
 // PolicyConfig bounds the threshold the rule may choose.
 type PolicyConfig struct {
@@ -36,8 +49,9 @@ type PolicyConfig struct {
 //
 // The rule, in priority order:
 //
-//  1. Any vFIFO overflow means the NIC pool is over-committed: keys
-//     that qualified were too many or too hot to drain. Double the
+//  1. A vFIFO overflow or an over-commit (overcommitted) means the
+//     NIC pool cannot keep up: keys that qualified were too many or
+//     too hot to drain, or its cores wait for a CPU. Double the
 //     threshold so only genuinely hotter keys qualify next epoch.
 //  2. Budget-denied promotions with no overflow mean demand outpaces
 //     the install rate but the pool itself kept up: raise the
@@ -51,7 +65,7 @@ type PolicyConfig struct {
 func NextThreshold(cur uint32, fb Feedback, cfg PolicyConfig) uint32 {
 	next := cur
 	switch {
-	case fb.Overflows > 0:
+	case fb.Overflows > 0 || fb.overcommitted():
 		next = saturatingDouble(cur)
 	case fb.Denied > 0:
 		next = saturatingAdd(cur, cur/2)

@@ -26,6 +26,10 @@ func TestThresholdTrajectory(t *testing.T) {
 		{"cold host halves", Feedback{HostFrames: 100}, 12},
 		{"clamped at min", Feedback{HostFrames: 100}, 8},
 		{"stays at min", Feedback{HostFrames: 100}, 8},
+		{"over-commit doubles", Feedback{NICFrames: 100, Residency: 4001, Work: 1000}, 16},
+		{"residency at 4x work holds", Feedback{NICFrames: 100, Residency: 4000, Work: 1000}, 16},
+		{"over-commit beats cold decay", Feedback{HostFrames: 100, Residency: 1}, 32},
+		{"unsampled cold host halves", Feedback{HostFrames: 100}, 16},
 	}
 	for i, st := range steps {
 		got := NextThreshold(cur, st.fb, cfg)
@@ -37,12 +41,19 @@ func TestThresholdTrajectory(t *testing.T) {
 	}
 }
 
-// TestThresholdPriority checks the rule's priority order: overflow
-// wins over denial, denial wins over decay.
+// TestThresholdPriority checks the rule's priority order: overflow or
+// over-commit wins over denial (and both together double only once),
+// denial wins over decay.
 func TestThresholdPriority(t *testing.T) {
 	cfg := PolicyConfig{Min: 1, Max: 1 << 20}
 	if got := NextThreshold(100, Feedback{Overflows: 1, Denied: 10}, cfg); got != 200 {
 		t.Fatalf("overflow+denied: got %d, want 200 (overflow wins)", got)
+	}
+	if got := NextThreshold(100, Feedback{Residency: 50, Work: 10, Denied: 10}, cfg); got != 200 {
+		t.Fatalf("over-commit+denied: got %d, want 200 (over-commit wins)", got)
+	}
+	if got := NextThreshold(100, Feedback{Overflows: 1, Residency: 50, Work: 10}, cfg); got != 200 {
+		t.Fatalf("overflow+over-commit: got %d, want 200 (one doubling)", got)
 	}
 	if got := NextThreshold(100, Feedback{Denied: 1, HostFrames: 1000}, cfg); got != 150 {
 		t.Fatalf("denied+cold: got %d, want 150 (denied wins)", got)
