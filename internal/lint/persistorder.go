@@ -46,6 +46,13 @@ import (
 //     function passed as a continuation is likewise exempt from the
 //     check.
 //
+//   - The pipeline's ack-carrying enqueues — nvm.Pipeline methods with
+//     a ddp.MsgKind parameter (EnqueueAck, DeferAck, EnqueueSetAck) —
+//     queue the kind with the update, and the pipeline's OnAck hook
+//     sends the acknowledgment strictly after the group commit appends
+//     it: a kind passed in that position is payload, not an
+//     acknowledgment constructed at the call.
+//
 // Consistency-only acknowledgments (KindAckC) are exempt: they
 // legitimately precede the persist.
 //
@@ -100,6 +107,30 @@ var evidenceSeeds = map[[3]string]bool{
 func isContinuationSeed(fn *types.Func) bool {
 	pkg, recv, ok := methodIdentity(fn)
 	return ok && pathHasElem(pkg, "nvm") && recv == "Pipeline" && fn.Name() == "Enqueue"
+}
+
+// ackKindParams returns the positions of fn's ddp.MsgKind parameters
+// when fn is an nvm.Pipeline method: an ack-carrying enqueue, whose
+// OnAck hook dispatches the kind after the append.
+func ackKindParams(fn *types.Func) map[int]bool {
+	pkg, recv, ok := methodIdentity(fn)
+	if !ok || !pathHasElem(pkg, "nvm") || recv != "Pipeline" {
+		return nil
+	}
+	var out map[int]bool
+	params := fn.Type().(*types.Signature).Params()
+	for i := 0; i < params.Len(); i++ {
+		named, ok := params.At(i).Type().(*types.Named)
+		if !ok || named.Obj().Name() != "MsgKind" || named.Obj().Pkg() == nil ||
+			!pathHasElem(named.Obj().Pkg().Path(), "ddp") {
+			continue
+		}
+		if out == nil {
+			out = make(map[int]bool)
+		}
+		out[i] = true
+	}
+	return out
 }
 
 func isEvidenceSeed(fn *types.Func) bool {
@@ -192,7 +223,8 @@ type durabilityWorld struct {
 	// defersSend marks functions that hand the pipeline a post-append
 	// continuation (persistThen and friends): an ack kind named at their
 	// call sites is payload the drain engine sends after the persist, not
-	// an acknowledgment constructed here.
+	// an acknowledgment constructed here. The same holds for the kind
+	// argument of the pipeline's ack-carrying enqueues (ackKindParams).
 	defersSend map[*types.Func]bool
 }
 
@@ -456,9 +488,10 @@ func checkPersistOrder(pass *analysis.Pass, al *allows, world *durabilityWorld, 
 
 // findDurableAcks locates calls whose arguments mention KindAck or
 // KindAckP — sendAck(m, KindAck), send(to, Message{Kind: KindAckP, ...}).
-// Calls into evidence providers or continuation senders are exempt: for
-// those the kind is payload that travels with (or behind) the durable
-// write, and the actual send happens after it.
+// Calls into evidence providers or continuation senders are exempt, as
+// is the kind argument of a pipeline ack-carrying enqueue: for those the
+// kind is payload that travels with (or behind) the durable write, and
+// the actual send happens after it.
 func findDurableAcks(pass *analysis.Pass, world *durabilityWorld, body *ast.BlockStmt) []ackSite {
 	var out []ackSite
 	walkSameFunc(body, func(n ast.Node) bool {
@@ -466,11 +499,15 @@ func findDurableAcks(pass *analysis.Pass, world *durabilityWorld, body *ast.Bloc
 		if !ok {
 			return true
 		}
-		if callee := calleeFunc(pass, call); callee != nil &&
-			(world.isEvidenceCall(callee) || world.defersSend[callee]) {
+		callee := calleeFunc(pass, call)
+		if callee != nil && (world.isEvidenceCall(callee) || world.defersSend[callee]) {
 			return true
 		}
-		for _, arg := range call.Args {
+		afterAppend := ackKindParams(callee)
+		for i, arg := range call.Args {
+			if afterAppend[i] {
+				continue
+			}
 			kind := ""
 			ast.Inspect(arg, func(m ast.Node) bool {
 				// A kind named inside a closure argument belongs to the

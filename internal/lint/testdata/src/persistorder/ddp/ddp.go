@@ -9,3 +9,12 @@ func (m *Meta) PersistencyDone(txn uint64) bool { return true }
 type WriteTxn struct{}
 
 func (w *WriteTxn) AckedP() bool { return true }
+
+// MsgKind is the protocol message kind; a pipeline method taking one is
+// an ack-carrying enqueue.
+type MsgKind int
+
+const (
+	KindAck MsgKind = iota + 1
+	KindAckP
+)

@@ -149,3 +149,21 @@ func (n *Node) scopeFlushAckOK(m Message) {
 	}
 	n.sendAck(m, KindAckP)
 }
+
+// The pipeline's ack-carrying enqueue takes the kind as payload: its
+// ack hook sends it after the group commit appends the entry.
+func (n *Node) pipelineAckKindOK(m Message, e nvm.Entry) {
+	n.pipe.EnqueueAck(e, m.From, ddp.KindAckP)
+}
+
+// Only the kind argument travels behind the append: an ack sent while
+// working out another argument is built before any persist, and both
+// that send and the enqueue naming it are reported.
+func (n *Node) ackBesidePipelineKind(m Message, e nvm.Entry) {
+	n.pipe.EnqueueAck(e, n.ackedPeer(m, KindAck), ddp.KindAckP) // want `persist-before-ack` `persist-before-ack`
+}
+
+func (n *Node) ackedPeer(m Message, k MsgKind) int {
+	n.sendAck(m, k)
+	return m.From
+}

@@ -15,7 +15,7 @@ func (n *Node) newScope() ddp.ScopeID {
 func (n *Node) bufferScope(sc ddp.ScopeID, key ddp.Key, ts ddp.Timestamp, value []byte) {
 	n.scopeMu.Lock()
 	n.scopeBuf[sc] = append(n.scopeBuf[sc], nvm.Update{
-		Key: key, TS: ts, Value: append([]byte(nil), value...), Scope: sc,
+		Key: key, TS: ts, Value: append([]byte(nil), value...),
 	})
 	n.scopeMu.Unlock()
 }
@@ -27,41 +27,44 @@ func (n *Node) takeScope(sc ddp.ScopeID) []nvm.Update {
 	return n.scopeBuf[sc]
 }
 
-// persistScope starts the scope flush sc, whose outcome goes to c. It
-// blocks for the local group commit only — as handlePersist does on a
-// follower — and completes in checkScope on the last [ACK_P]sc.
+// persistScope starts the scope flush sc, whose outcome goes to c. The
+// coordinator flushes its own buffered writes as a follower does and
+// acknowledges itself; the flush completes in checkScope on the last
+// [ACK_P]sc. The scope is closed, so no write joins it from here on.
 func (n *Node) persistScope(sc ddp.ScopeID, c client) {
 	followers := n.liveFollowers()
 	sp := &scopePersist{
 		client:    c,
 		followers: followers,
-		got:       make(map[ddp.NodeID]bool, len(followers)),
+		got:       make(map[ddp.NodeID]bool, len(followers)+1),
 	}
 	n.scopeMu.Lock()
-	entries := n.scopeBuf[sc]
 	n.scopeWait[sc] = sp
 	n.scopeMu.Unlock()
 
 	n.sendAll(followers, ddp.Message{Kind: ddp.KindPersist, Scope: sc, Size: ddp.ControlSize()})
-	// Persist this node's buffered writes for the scope as one
-	// pipelined group commit; it fails only on a closing node, which
-	// checkScope answers with ErrClosed. The scope is closed, so no
-	// write joins it from here on.
-	n.pipe.PersistMany(entries)
-	n.scopeMu.Lock()
-	sp.local = true
-	n.scopeMu.Unlock()
-	n.checkScope(sc)
+	if !n.flushScope(sc, n.id) {
+		n.checkScope(sc) // a closing node: ErrClosed
+	}
 }
 
-// checkScope completes the scope flush sc once its local flush drained
-// and every live follower acknowledged it — or the node closed. Taking
-// the flush out of scopeWait decides which caller completes it.
+// flushScope persists every write buffered in scope sc as one group
+// commit whose [ACK_P]sc to to rides the pipeline's ack hook
+// (sendDurableAck) — at once for an empty scope. Entries stay buffered
+// until [VAL_P]sc publishes their glb_durableTS. It returns false on a
+// closing node, which sends no acknowledgment.
+func (n *Node) flushScope(sc ddp.ScopeID, to ddp.NodeID) bool {
+	return n.pipe.EnqueueSetAck(sc, n.takeScope(sc), to, ddp.KindAckP)
+}
+
+// checkScope completes the scope flush sc once the coordinator's own
+// flush and every live follower acknowledged it — or the node closed.
+// Taking the flush out of scopeWait decides which caller completes it.
 func (n *Node) checkScope(sc ddp.ScopeID) {
 	n.scopeMu.Lock()
 	sp := n.scopeWait[sc]
 	closed := n.closed.Load()
-	done := sp != nil && (closed || sp.local)
+	done := sp != nil && (closed || sp.got[n.id])
 	for i := 0; done && !closed && i < len(sp.followers); i++ {
 		f := sp.followers[i]
 		done = sp.got[f] || !n.isAlive(f)
@@ -82,19 +85,14 @@ func (n *Node) checkScope(sc ddp.ScopeID) {
 	n.fe.complete(sp.client, nil, nil)
 }
 
-// handlePersist services [PERSIST]sc at a follower: persist every
-// buffered write of the scope (one group commit), then acknowledge.
-// Entries stay buffered until [VAL_P]sc publishes their glb_durableTS.
-// A node that closes mid-flush sends no acknowledgment.
+// handlePersist services [PERSIST]sc at a follower: the scope's
+// buffered writes are acknowledged once their group commit drains.
 func (n *Node) handlePersist(m ddp.Message) {
-	if !n.pipe.PersistMany(n.takeScope(m.Scope)) {
-		return
-	}
-	n.send(m.From, ddp.Message{Kind: ddp.KindAckP, Scope: m.Scope, Size: ddp.ControlSize()})
+	n.flushScope(m.Scope, m.From)
 }
 
-// handleScopeAck records one [ACK_P]sc at the coordinator; a late ack
-// for a completed flush finds nothing.
+// handleScopeAck records one [ACK_P]sc at the coordinator, its own
+// included; a late ack for a completed flush finds nothing.
 func (n *Node) handleScopeAck(m ddp.Message) {
 	n.scopeMu.Lock()
 	if sp := n.scopeWait[m.Scope]; sp != nil {

@@ -182,6 +182,59 @@ func TestScopeIsolation(t *testing.T) {
 	}
 }
 
+// TestScopeFlushDoesNotStallDelivery: a scope flush's persist must not
+// hold up the nodes' other traffic. Under Lin-Scope with a 50 ms device
+// delay, node 0 flushes a session's scope, and 2 ms later a session on
+// node 1 writes; that write needs only ACK_Cs, which its followers'
+// delivery paths must send while the flush's group commits charge.
+func TestScopeFlushDoesNotStallDelivery(t *testing.T) {
+	const (
+		delay = 50 * time.Millisecond
+		bound = 20 * time.Millisecond
+	)
+	for _, fabric := range fabrics {
+		t.Run(fabric, func(t *testing.T) {
+			nodes := newFabricCluster(t, fabric, 3, ddp.LinScope, func(_ int, cfg *Config) {
+				cfg.PersistDelay = delay
+			})
+			// Warm the write path off the measurement: a fresh cluster's
+			// first operations pay a one-off cost of a few ms.
+			if err := nodes[1].Write(99, []byte("warm")); err != nil {
+				t.Fatal(err)
+			}
+			flusher, writer := nodes[0].Session(), nodes[1].Session()
+			if err := flusher.Write(1, []byte("scoped")); err != nil {
+				t.Fatal(err)
+			}
+			persisted := make(chan error, 1)
+			go func() { persisted <- flusher.Persist() }()
+			time.Sleep(2 * time.Millisecond)
+			begin := time.Now()
+			if err := writer.Write(2, []byte("beside")); err != nil {
+				t.Fatal(err)
+			}
+			took := time.Since(begin)
+			t.Logf("write beside the flush: %v", took)
+			if took > bound {
+				t.Errorf("a write beside a scope flush took %v, want under %v: delivery waited out the flush's %v persist", took, bound, delay)
+			}
+			select {
+			case err := <-persisted:
+				if err != nil {
+					t.Fatalf("scope flush: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("scope flush still pending after 5 s")
+			}
+			for _, nd := range nodes {
+				if !nd.Log().LocallyDurable(1, ddp.Timestamp{Node: 0, Version: 1}) {
+					t.Errorf("node %d: the flushed scope's write is not durable", nd.ID())
+				}
+			}
+		})
+	}
+}
+
 // TestUniqueTimestampsSameNode: concurrent writes to one key from one
 // node must get distinct TS_WR (§III-A: TS_WR is unique).
 func TestUniqueTimestampsSameNode(t *testing.T) {

@@ -118,6 +118,8 @@ func TestVFIFOOverflowDemotesWithoutReorder(t *testing.T) {
 	})
 	e.Start()
 	defer e.Close()
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // a failure must not leave Close waiting on the core
 
 	key := ddp.Key(42)
 	// Heat 1 meets the threshold of 1: immediate promotion.
@@ -131,10 +133,10 @@ func TestVFIFOOverflowDemotesWithoutReorder(t *testing.T) {
 	// The vFIFO (depth 1) is now full; version 3 overflows. Route blocks
 	// it into the same queue — behind its predecessors — so it must run
 	// on a goroutine until the core is released.
-	res := make(chan bool)
+	res := make(chan bool, 1)
 	go func() { res <- e.Route(msg(key, 3)) }()
 	waitFor(t, "overflow to be recorded", func() bool { return e.overflows.Load() == 1 })
-	close(gate)
+	release()
 	if !<-res {
 		t.Fatal("overflowing message must still be admitted, not dropped")
 	}
