@@ -47,7 +47,7 @@ func main() {
 	// 4. <Lin, Synch> means durable on return: every node's NVM log
 	// already holds both writes.
 	for _, n := range nodes {
-		fmt.Printf("node %d log: %d durable entries\n", n.ID(), n.Log().Len())
+		fmt.Printf("node %d log: %d persists applied\n", n.ID(), n.Log().Len())
 	}
 
 	// 5. Conflicting concurrent writes to one key: timestamps order

@@ -66,7 +66,7 @@ func main() {
 		time.Sleep(5 * time.Millisecond)
 	}
 	v10, _ := nodes[2].Read(10)
-	fmt.Printf("node 2 recovered: key2=%q key10=%q, log has %d entries\n",
+	fmt.Printf("node 2 recovered: key2=%q key10=%q, log applied %d persists\n",
 		mustRead(nodes[2], 2), v10, nodes[2].Log().Len())
 	fmt.Println("cluster whole again — writes from the recovered node work:")
 	must(nodes[2].Write(99, []byte("from the returnee")))

@@ -53,7 +53,7 @@ func main() {
 	}
 	persistDur := time.Since(persistStart)
 	durableAfter := nodes[1].Log().Len()
-	fmt.Printf("[PERSIST]sc flushed the scope in %v: node 1's log grew %d -> %d entries\n",
+	fmt.Printf("[PERSIST]sc flushed the scope in %v: node 1's log applied %d -> %d persists\n",
 		persistDur.Round(time.Microsecond), durableBefore, durableAfter)
 
 	// Every node now has every scoped write durable.

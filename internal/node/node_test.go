@@ -3,6 +3,7 @@ package node
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -358,51 +359,122 @@ func TestFailureDetectionUnblocksWrites(t *testing.T) {
 	}
 }
 
+// TestRecoveryCatchesUp: node 2 is partitioned away while the survivors
+// commit writes, then rejoins and pulls the log tail from node 0. It
+// must read each key's newest value and hold it durable at that
+// version's timestamp — also for a key rewritten several times while it
+// was away, whose superseded versions node 0's log no longer holds.
 func TestRecoveryCatchesUp(t *testing.T) {
-	nodes, net := newCluster(t, 3, ddp.LinSynch, func(c *Config) {
-		c.HeartbeatEvery = 10 * time.Millisecond
-		c.FailAfter = 80 * time.Millisecond
-	})
-	net.Disconnect(2)
-	// Wait for the survivors to notice.
-	deadline := time.Now().Add(2 * time.Second)
-	for nodes[0].Alive()[2] {
-		if time.Now().After(deadline) {
-			t.Fatal("failure never detected")
-		}
-		time.Sleep(5 * time.Millisecond)
+	type write struct {
+		key ddp.Key
+		val string
 	}
-	// Commit writes while node 2 is gone.
-	for i := 0; i < 5; i++ {
-		if err := nodes[0].Write(ddp.Key(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+	for _, tc := range []struct {
+		name   string
+		before []write // committed while node 2 is up
+		away   []write // committed while node 2 is partitioned away
+	}{
+		{name: "distinct keys", away: []write{{0, "v0"}, {1, "v1"}, {2, "v2"}, {3, "v3"}, {4, "v4"}}},
+		{
+			name:   "one key rewritten",
+			before: []write{{7, "w0"}},
+			away:   []write{{7, "w1"}, {8, "x1"}, {7, "w2"}, {7, "w3"}, {8, "x2"}, {7, "w4"}},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes, net := newCluster(t, 3, ddp.LinSynch, func(c *Config) {
+				c.HeartbeatEvery = 10 * time.Millisecond
+				c.FailAfter = 80 * time.Millisecond
+			})
+			want := map[ddp.Key]string{}
+			commit := func(ws []write) {
+				for _, w := range ws {
+					if err := nodes[0].Write(w.key, []byte(w.val)); err != nil {
+						t.Fatal(err)
+					}
+					want[w.key] = w.val
+				}
+			}
+			commit(tc.before)
+			net.Disconnect(2)
+			// Wait for the survivors to notice.
+			deadline := time.Now().Add(2 * time.Second)
+			for nodes[0].Alive()[2] {
+				if time.Now().After(deadline) {
+					t.Fatal("failure never detected")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			commit(tc.away)
+			// Node 2 rejoins and pulls the log tail from node 0.
+			net.Reconnect(2)
+			if err := nodes[2].Recover(0); err != nil {
+				t.Fatal(err)
+			}
+			deadline = time.Now().Add(2 * time.Second)
+			for {
+				ok := true
+				for key, val := range want {
+					if v, _ := nodes[2].Read(key); string(v) != val {
+						ok = false
+						break
+					}
+				}
+				if ok {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("recovered node never caught up")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			for key := range want {
+				ts, ok := nodes[0].Log().DurableTS(key)
+				if !ok || !nodes[2].Log().LocallyDurable(key, ts) {
+					got, _ := nodes[2].Log().DurableTS(key)
+					t.Fatalf("key %d: recovered node durable at %v, want node 0's %v", key, got, ts)
+				}
+			}
+			if nodes[2].Stats.Recoveries.Load() == 0 {
+				t.Error("recovery stat not recorded")
+			}
+		})
+	}
+}
+
+// TestLogMemoryBoundedByKeys: a node's durable log keeps one version per
+// key, so 20k writes over 64 keys leave the cluster's live heap about
+// where 64 keys' worth of writes left it, not one value copy per write
+// per replica (20k × 3 × 128 B ≈ 7.7 MB of values alone).
+func TestLogMemoryBoundedByKeys(t *testing.T) {
+	const keys, writes, limit = 64, 20_000, 4 << 20
+	nodes, _ := newCluster(t, 3, ddp.LinSynch, nil)
+	val := bytes.Repeat([]byte("v"), 128)
+	for k := 0; k < keys; k++ {
+		if err := nodes[0].Write(ddp.Key(k), val); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Node 2 rejoins and pulls the log tail from node 0.
-	net.Reconnect(2)
-	if err := nodes[2].Recover(0); err != nil {
-		t.Fatal(err)
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
 	}
-	deadline = time.Now().Add(2 * time.Second)
-	for {
-		ok := true
-		for i := 0; i < 5; i++ {
-			v, _ := nodes[2].Read(ddp.Key(i))
-			if string(v) != fmt.Sprintf("v%d", i) {
-				ok = false
-				break
-			}
+	before := liveHeap()
+	for i := 0; i < writes; i++ {
+		if err := nodes[i%3].Write(ddp.Key(i%keys), val); err != nil {
+			t.Fatal(err)
 		}
-		if ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("recovered node never caught up")
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	if nodes[2].Stats.Recoveries.Load() == 0 {
-		t.Error("recovery stat not recorded")
+	after := liveHeap()
+	growth := int64(after) - int64(before)
+	t.Logf("live heap %d → %d B (%+d) over %d writes", before, after, growth, writes)
+	if growth >= limit {
+		t.Fatalf("%d writes over %d keys grew the live heap by %d B, want < %d", writes, keys, growth, limit)
+	}
+	if got := nodes[1].Log().Len(); got != keys+writes {
+		t.Fatalf("node 1 applied %d persists, want %d", got, keys+writes)
 	}
 }
 

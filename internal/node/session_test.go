@@ -275,17 +275,9 @@ func TestSessionWritesKeepRunToCompletion(t *testing.T) {
 	select {
 	case <-writersDone:
 	case <-time.After(30 * time.Second):
-		// A session write lost its completion. Name what each node still
-		// holds, so the dump shows which message or persist went missing.
-		for _, nd := range cluster {
-			s := obs.Collect(nd)
-			t.Logf("node %d: nvm.pipeline.pending %d, node.record_waiters %d (parked now %d), in-flight writes %d",
-				nd.ID(), s.GaugeValue("nvm.pipeline.pending"), s.GaugeValue("node.record_waiters"),
-				nd.parked.Load(), inflightWrites(nd))
-		}
-		buf := make([]byte, 1<<20)
+		goroutines := logLostWrite(t, cluster)
 		close(timedOut)
-		t.Fatalf("a session write still unanswered 30 s after the run ended; goroutines:\n%s", buf[:runtime.Stack(buf, true)])
+		t.Fatalf("a session write still unanswered 30 s after the run ended; goroutines:\n%s", goroutines)
 	}
 
 	s := obs.Collect(cluster[0].Pipeline())
@@ -294,6 +286,22 @@ func TestSessionWritesKeepRunToCompletion(t *testing.T) {
 	if batches == 0 || 2*inline < batches {
 		t.Fatalf("node 0 ran %d of %d group commits inline, want at least half", inline, batches)
 	}
+}
+
+// logLostWrite logs what each node of cluster still holds when a write
+// lost its completion — pending persists, parked waiters and in-flight
+// writes — so the failure shows which message or persist went missing,
+// and returns a dump of every goroutine's stack.
+func logLostWrite(t *testing.T, cluster []*Node) []byte {
+	t.Helper()
+	for _, nd := range cluster {
+		s := obs.Collect(nd)
+		t.Logf("node %d: nvm.pipeline.pending %d, node.record_waiters %d (parked now %d), in-flight writes %d",
+			nd.ID(), s.GaugeValue("nvm.pipeline.pending"), s.GaugeValue("node.record_waiters"),
+			nd.parked.Load(), inflightWrites(nd))
+	}
+	buf := make([]byte, 1<<20)
+	return buf[:runtime.Stack(buf, true)]
 }
 
 // inflightWrites counts the write transactions n coordinates now.

@@ -51,7 +51,9 @@ const (
 // stranded entry stays stranded: every round's operations must finish
 // within 5 s, and every pipeline's pending gauge must return to 0.
 // Under the models no client waits on a durable ack for, no commit may
-// run inline.
+// run inline. A lost in-process write completion fails with each node's
+// pending persists, parked waiters and in-flight writes and a goroutine
+// dump.
 func TestDeferredPersistsNeverStrand(t *testing.T) {
 	const rounds = 4
 	for _, fabric := range fabrics {
@@ -140,7 +142,8 @@ func strandRound(t *testing.T, cluster []*Node, client transport.Transport, roun
 	select {
 	case <-done:
 	case <-deadline:
-		t.Fatalf("round %d: in-process writes still running after %v", round, strandDeadline)
+		goroutines := logLostWrite(t, cluster)
+		t.Fatalf("round %d: in-process writes still running after %v; goroutines:\n%s", round, strandDeadline, goroutines)
 	}
 	close(errs)
 	for err := range errs {

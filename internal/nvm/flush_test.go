@@ -75,20 +75,22 @@ func TestFlushCommitsOnCaller(t *testing.T) {
 // worker or to each other, or find a long charge at the head of the
 // queue; each case must still commit every entry: every ack arrives
 // exactly once, and each goroutine's entries reach the log in its
-// enqueue order.
+// enqueue order. Each entry has its own key (entryKey), so the log
+// keeps every one of them and their Seqs show that order.
 func TestFlushNeverStrands(t *testing.T) {
 	const goroutines, perG = 8, 500
+	entryKey := func(g, v int) ddp.Key { return ddp.Key(1 + g*perG + v - 1) }
 	log := NewLog()
 	var acks [goroutines][perG + 1]atomic.Int32
 	p := NewPipeline(log, PipelineConfig{
 		Lat: LatencyModel{NsPerKB: 1295},
 		OnAck: func(to ddp.NodeID, kind ddp.MsgKind, key ddp.Key, ts ddp.Timestamp, sc ddp.ScopeID, stamp int64) {
-			acks[key-1][ts.Version].Add(1)
+			acks[int(key-1)/perG][ts.Version].Add(1)
 		},
 	})
 	defer p.Close()
 	big := make([]byte, 100<<10)
-	const bigKey = ddp.Key(1000)
+	const bigKey = ddp.Key(1 << 20)
 	p.Enqueue(bigKey, ts(0, 0), big, 0)
 	stop := make(chan struct{})
 	var bigDone sync.WaitGroup
@@ -114,7 +116,7 @@ func TestFlushNeverStrands(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for v := 1; v <= perG; v++ {
-				if !p.DeferAck(ddp.Key(g+1), ts(0, v), []byte("v"), 0, 1, ddp.KindAck, 0) {
+				if !p.DeferAck(entryKey(g, v), ts(0, v), []byte("v"), 0, 1, ddp.KindAck, 0) {
 					t.Error("DeferAck failed on an open pipeline")
 					return
 				}
@@ -134,19 +136,20 @@ func TestFlushNeverStrands(t *testing.T) {
 	for g := range acks {
 		for v := 1; v <= perG; v++ {
 			if n := acks[g][v].Load(); n != 1 {
-				t.Fatalf("key %d v%d acked %d times, want 1", g+1, v, n)
+				t.Fatalf("goroutine %d v%d acked %d times, want 1", g, v, n)
 			}
 		}
 	}
-	next := make(map[ddp.Key]ddp.Version)
+	var next [goroutines]ddp.Version
 	for _, e := range log.EntriesSince(0) {
 		if e.Key == bigKey {
 			continue
 		}
-		if want := next[e.Key] + 1; e.TS.Version != want {
-			t.Fatalf("key %d: log holds v%d where enqueue order has v%d", e.Key, e.TS.Version, want)
+		g := int(e.Key-1) / perG
+		if want := next[g] + 1; e.TS.Version != want {
+			t.Fatalf("goroutine %d: log holds v%d where enqueue order has v%d", g, e.TS.Version, want)
 		}
-		next[e.Key] = e.TS.Version
+		next[g] = e.TS.Version
 	}
 	// The mix of inline and worker commits varies run to run; the long
 	// charges always fall to the worker, the only goroutine here that

@@ -1,16 +1,18 @@
 // Package nvm models the non-volatile memory subsystem of a MINOS node:
-// a persist-latency model, an append-only persistent log, and a
-// pipelined drain engine (Pipeline) mirroring the paper's dFIFOs.
+// a persist-latency model, a persist log applied to the durable
+// database at group commit, and a pipelined drain engine (Pipeline)
+// mirroring the paper's dFIFOs.
 //
 // The paper emulates NVM by charging 1295 ns to persist 1 KB (Table II);
 // Fig 14 sweeps this latency from 100 ns (DIMM-attached persistent
-// memory) to 100 µs (SSD blocks). Writes append to a log rather than
-// updating the durable database in place, which is what permits
-// out-of-order persists: "entries are inserted into the log in an
-// out-of-order manner, therefore creating obsolete entries. However,
-// correctness is maintained because, before the log entries are applied
-// to the non-volatile database, they are checked for obsoleteness"
-// (§V-B.4, also §III-B).
+// memory) to 100 µs (SSD blocks). Persists go through a log, which is
+// what permits out-of-order persists: "entries are inserted into the
+// log in an out-of-order manner, therefore creating obsolete entries.
+// However, correctness is maintained because, before the log entries
+// are applied to the non-volatile database, they are checked for
+// obsoleteness" (§V-B.4, also §III-B). Here the pipeline's group commit
+// is that apply: Log.Append runs the obsoleteness check and keeps one
+// durable version per key.
 package nvm
 
 import (
@@ -43,9 +45,10 @@ func (m LatencyModel) PersistNs(size int) int64 {
 	return ns
 }
 
-// Entry is one record update in the persistent log.
+// Entry is one key's durable version: the newest update applied to
+// the log for that key.
 type Entry struct {
-	Seq   uint64 // log sequence number, assigned at append
+	Seq   uint64 // sequence number of the append that applied it
 	Key   ddp.Key
 	TS    ddp.Timestamp
 	Value []byte
@@ -56,18 +59,21 @@ type Entry struct {
 // mask of the key hash.
 const logShardCount = 32
 
-// Log is the append-only persistent log of one node. Appends are atomic
-// and may arrive out of timestamp order; Apply filters obsolete entries.
-// The log also serves recovery: EntriesSince streams the tail to a
-// re-inserted node (§III-E).
+// Log is one node's non-volatile database, with the persist log applied
+// to it as each group commit drains: every key holds only its newest
+// durable version, so memory grows with the key count, not the write
+// count. Appends are atomic and may arrive out of timestamp order; the
+// obsoleteness check at apply drops an update no newer than the key's
+// durable version. The log also serves recovery: EntriesSince streams
+// the versions applied since a sequence number to a re-inserted node
+// (§III-E).
 //
-// Storage is striped by key: each shard holds its own segmented entry
-// store and durable map under its own mutex, so concurrent appenders
-// for different keys never contend. Sequence numbers come from one
-// atomic counter but are assigned while the destination shard's lock is
-// held, so each shard's entries stay sorted by Seq; the cold full-log
-// views (EntriesSince, Replay) merge the shards back into global Seq
-// order.
+// Storage is striped by key: each shard holds its own map under its own
+// mutex, so concurrent appenders for different keys never contend.
+// Sequence numbers come from one atomic counter but are assigned while
+// the destination shard's lock is held, so a key's versions take
+// increasing Seqs; the cold full views (EntriesSince, Replay) merge the
+// shards into global Seq order.
 type Log struct {
 	nextSeq atomic.Uint64
 	shards  [logShardCount]logShard
@@ -75,117 +81,17 @@ type Log struct {
 
 type logShard struct {
 	mu sync.Mutex
-
-	// Entries are stored in fixed-capacity segments: active is the tail
-	// being appended to, sealed holds the full segments before it, in
-	// order. A flat slice would re-zero and copy the entire log on every
-	// growth doubling — on a long run that single append line dominated
-	// the write path's CPU profile. Segments are allocated once, never
-	// copied, and never moved.
-	sealed [][]Entry
-	active []Entry
-
-	// arena backs the value copies made by Append: values bump-allocate
-	// out of fixed-size chunks so the steady-state append path performs
-	// no per-entry heap allocation. Chunks stay reachable through the
-	// entries that reference them — the same total footprint individual
-	// copies would have, minus the per-copy allocator visit.
-	arena []byte
-
-	// durable tracks, per key, the newest timestamp present in the log —
-	// i.e. locally durable. The model checker and the protocol's
-	// PersistencySpin consult this.
-	durable map[ddp.Key]ddp.Timestamp
-}
-
-// segEntries is the capacity of one log segment. At ~64 bytes per
-// Entry a segment is a few hundred KB — large enough that seals are
-// rare, small enough that an idle shard costs nothing until first use.
-const segEntries = 4096
-
-// appendEntry adds e to the shard in Seq order; the caller holds sh.mu
-// and must have assigned e.Seq under it. The segment seal (the only
-// allocation) lives in the unannotated slow path.
-//
-//minos:hotpath
-func (sh *logShard) appendEntry(e Entry) {
-	if len(sh.active) == cap(sh.active) {
-		sh.sealSegment()
-	}
-	sh.active = append(sh.active, e)
-}
-
-// sealSegment retires the full active segment and starts a fresh one.
-// Also handles the shard's very first append (nil active).
-func (sh *logShard) sealSegment() {
-	if sh.active != nil {
-		sh.sealed = append(sh.sealed, sh.active)
-	}
-	sh.active = make([]Entry, 0, segEntries)
-}
-
-// forEach visits every entry in append (= per-shard Seq) order; the
-// caller holds sh.mu.
-func (sh *logShard) forEach(f func(Entry)) {
-	for _, seg := range sh.sealed {
-		for _, e := range seg {
-			f(e)
-		}
-	}
-	for _, e := range sh.active {
-		f(e)
-	}
-}
-
-// count returns the shard's entry count; the caller holds sh.mu.
-func (sh *logShard) count() int {
-	n := len(sh.active)
-	for _, seg := range sh.sealed {
-		n += len(seg)
-	}
-	return n
-}
-
-// arenaChunk is the shard arena's chunk size. Values larger than a
-// quarter chunk are copied individually rather than wasting most of a
-// fresh chunk.
-const arenaChunk = 64 << 10
-
-// copyToArena copies v into the shard's bump arena; the caller holds
-// sh.mu. The refill and the oversized-value escape live in the
-// unannotated slow path.
-//
-//minos:hotpath
-func (sh *logShard) copyToArena(v []byte) []byte {
-	if len(v) == 0 {
-		return nil
-	}
-	n := len(sh.arena)
-	if n+len(v) > cap(sh.arena) {
-		return sh.copyToArenaSlow(v)
-	}
-	sh.arena = sh.arena[:n+len(v)]
-	copy(sh.arena[n:], v)
-	return sh.arena[n : n+len(v) : n+len(v)]
-}
-
-// copyToArenaSlow starts a fresh chunk (or, for oversized values, makes
-// an individual copy). The abandoned tail of the previous chunk is
-// bounded waste: at most a quarter chunk per refill.
-func (sh *logShard) copyToArenaSlow(v []byte) []byte {
-	if len(v) > arenaChunk/4 {
-		return append([]byte(nil), v...)
-	}
-	sh.arena = make([]byte, len(v), arenaChunk)
-	copy(sh.arena, v)
-	return sh.arena[0:len(v):len(v)]
+	// db maps each key to its newest durable version. The version's
+	// value buffer is the log's own and is overwritten in place by the
+	// next newer version, so views copy values out under mu.
+	db map[ddp.Key]*Entry
 }
 
 // NewLog returns an empty log.
 func NewLog() *Log {
 	l := &Log{}
 	for i := range l.shards {
-		l.shards[i].durable = make(map[ddp.Key]ddp.Timestamp)
+		l.shards[i].db = make(map[ddp.Key]*Entry)
 	}
 	return l
 }
@@ -194,36 +100,40 @@ func (l *Log) shardIndex(key ddp.Key) uint64 {
 	return key.Hash() >> 32 & (logShardCount - 1)
 }
 
-// Append atomically adds an entry for (key, ts, value) and returns its
-// sequence number. Appends need not arrive in timestamp order. The
-// value is copied into the shard's arena, so the caller keeps ownership
-// of its buffer and the steady-state append allocates nothing.
+// Append applies an update for (key, ts, value) and returns its
+// sequence number. Appends need not arrive in timestamp order: an
+// update newer than the key's durable version replaces it, its value
+// copied into that version's buffer, so the caller keeps ownership of
+// its buffer and the steady state allocates nothing; an older or equal
+// one is obsolete and dropped, though it still takes a sequence number
+// and counts in Len. A key's first version takes the slow path.
 //
 //minos:hotpath
 func (l *Log) Append(key ddp.Key, ts ddp.Timestamp, value []byte, scope ddp.ScopeID) uint64 {
 	sh := &l.shards[l.shardIndex(key)]
 	sh.mu.Lock()
-	owned := sh.copyToArena(value)
 	seq := l.nextSeq.Add(1) - 1
-	sh.appendEntry(Entry{Seq: seq, Key: key, TS: ts, Value: owned, Scope: scope})
-	if cur, ok := sh.durable[key]; !ok || cur.Less(ts) {
-		sh.durable[key] = ts
+	switch e := sh.db[key]; {
+	case e == nil:
+		sh.insert(Entry{Seq: seq, Key: key, TS: ts, Value: value, Scope: scope})
+	case e.TS.Less(ts):
+		e.Seq, e.TS, e.Scope = seq, ts, scope
+		e.Value = append(e.Value[:0], value...)
 	}
 	sh.mu.Unlock()
 	return seq
 }
 
-// Len returns the number of log entries.
-func (l *Log) Len() int {
-	n := 0
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		n += sh.count()
-		sh.mu.Unlock()
-	}
-	return n
+// insert stores a key's first version with its own copy of the value;
+// the caller holds sh.mu.
+func (sh *logShard) insert(e Entry) {
+	e.Value = append([]byte(nil), e.Value...)
+	sh.db[e.Key] = &e
 }
+
+// Len returns the number of appends, superseded and obsolete ones
+// included.
+func (l *Log) Len() int { return int(l.nextSeq.Load()) }
 
 // DurableTS returns the newest locally durable timestamp for key and
 // whether any persist for key has happened.
@@ -231,8 +141,10 @@ func (l *Log) DurableTS(key ddp.Key) (ddp.Timestamp, bool) {
 	sh := &l.shards[l.shardIndex(key)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	ts, ok := sh.durable[key]
-	return ts, ok
+	if e := sh.db[key]; e != nil {
+		return e.TS, true
+	}
+	return ddp.Timestamp{}, false
 }
 
 // LocallyDurable reports whether an update at least as new as ts has been
@@ -242,18 +154,21 @@ func (l *Log) LocallyDurable(key ddp.Key, ts ddp.Timestamp) bool {
 	return ok && ts.LessEq(cur)
 }
 
-// EntriesSince returns a copy of all entries with Seq >= seq in global
-// sequence order, for shipping to a recovering node.
+// EntriesSince returns each key's durable version applied at Seq >= seq,
+// in Seq order, for shipping to a recovering node. Values are copies:
+// a later Append does not change them.
 func (l *Log) EntriesSince(seq uint64) []Entry {
 	var out []Entry
 	for i := range l.shards {
 		sh := &l.shards[i]
 		sh.mu.Lock()
-		sh.forEach(func(e Entry) {
+		for _, e := range sh.db {
 			if e.Seq >= seq {
-				out = append(out, e)
+				c := *e
+				c.Value = append([]byte(nil), e.Value...)
+				out = append(out, c)
 			}
-		})
+		}
 		sh.mu.Unlock()
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
@@ -263,38 +178,23 @@ func (l *Log) EntriesSince(seq uint64) []Entry {
 // NextSeq returns the sequence number the next append will receive.
 func (l *Log) NextSeq() uint64 { return l.nextSeq.Load() }
 
-// Materialize folds the log into the newest durable value per key,
-// filtering obsolete entries — the "apply to the non-volatile database"
-// step. It is used by recovery and by crash-replay tests.
+// Materialize returns the durable database: each key's newest version,
+// with its value copied out. It is used by crash-replay tests.
 func (l *Log) Materialize() map[ddp.Key]Entry {
 	db := make(map[ddp.Key]Entry)
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		sh.forEach(func(e Entry) {
-			if cur, ok := db[e.Key]; !ok || cur.TS.Less(e.TS) {
-				db[e.Key] = e
-			}
-		})
-		sh.mu.Unlock()
+	for _, e := range l.EntriesSince(0) {
+		db[e.Key] = e
 	}
 	return db
 }
 
-// Replay applies every log entry to apply in sequence order. Obsolete
-// entries (superseded by a newer timestamp for the same key) are skipped.
-// It returns how many entries were applied.
+// Replay applies each key's durable version to apply, in Seq order, and
+// returns how many it applied. Obsolete updates were dropped at Append,
+// so there is nothing to skip.
 func (l *Log) Replay(apply func(Entry)) int {
 	entries := l.EntriesSince(0)
-	applied := 0
-	newest := make(map[ddp.Key]ddp.Timestamp)
 	for _, e := range entries {
-		if cur, ok := newest[e.Key]; ok && e.TS.Less(cur) {
-			continue // obsolete: a newer version is already durable
-		}
-		newest[e.Key] = e.TS
 		apply(e)
-		applied++
 	}
-	return applied
+	return len(entries)
 }

@@ -460,8 +460,9 @@ func (p *Pipeline) drain(inline bool) bool {
 			return false // aborted mid-charge: the batch's acks never fire
 		}
 		// Appending in slice order makes the log's Seq order the enqueue
-		// order; Append copies each value into the log's arena, so the
-		// batch's buffers are free for reuse right after.
+		// order; Append applies each entry to its key's durable version,
+		// copying the value, so the batch's buffers are free for reuse
+		// right after.
 		for i := range b.entries {
 			e := &b.entries[i]
 			p.log.Append(e.key, e.ts, e.value, e.scope)

@@ -141,22 +141,24 @@ func TestPipelineMatchesPerEntryLog(t *testing.T) {
 	}
 }
 
-// TestPipelineLogOrderIsEnqueueOrder pins the one-FIFO guarantee: with
-// entries for many keys interleaved, the log's Seq order is exactly the
-// enqueue order across all keys, not only per key.
+// TestPipelineLogOrderIsEnqueueOrder pins the one-FIFO guarantee: the
+// log's Seq order is exactly the enqueue order across all keys, not
+// only per key. Each entry has its own key, so the log keeps every one
+// of them (a key's superseded versions are gone once applied), and the
+// keys stripe over every log shard.
 func TestPipelineLogOrderIsEnqueueOrder(t *testing.T) {
 	log := NewLog()
 	p := NewPipeline(log, PipelineConfig{
 		Lat: LatencyModel{FixedNs: int64(50 * time.Microsecond)},
 	})
-	const total, keys = 200, 8
+	const total = 200
 	for i := 0; i < total; i++ {
-		if !p.Enqueue(ddp.Key(i%keys), ts(0, i/keys+1), []byte{byte(i), byte(i >> 8)}, 0) {
+		if !p.Enqueue(ddp.Key(i), ts(0, 1), []byte{byte(i), byte(i >> 8)}, 0) {
 			t.Fatalf("enqueue %d failed", i)
 		}
 	}
 	// A final blocking persist flushes everything queued before it.
-	if !p.Persist(ddp.Key(total%keys), ts(0, total/keys+1), []byte{byte(total), byte(total >> 8)}, 0) {
+	if !p.Persist(ddp.Key(total), ts(0, 1), []byte{byte(total), byte(total >> 8)}, 0) {
 		t.Fatal("flush persist failed")
 	}
 	p.Close()
@@ -167,9 +169,9 @@ func TestPipelineLogOrderIsEnqueueOrder(t *testing.T) {
 	}
 	for i, e := range entries {
 		want := []byte{byte(i), byte(i >> 8)}
-		if e.Key != ddp.Key(i%keys) || e.TS != ts(0, i/keys+1) || string(e.Value) != string(want) {
-			t.Fatalf("log position %d (seq %d) holds key %d %v %v, want enqueue #%d: key %d %v %v",
-				i, e.Seq, e.Key, e.TS, e.Value, i, i%keys, ts(0, i/keys+1), want)
+		if e.Key != ddp.Key(i) || e.Seq != uint64(i) || string(e.Value) != string(want) {
+			t.Fatalf("log position %d (seq %d) holds key %d %v, want enqueue #%d: key %d %v",
+				i, e.Seq, e.Key, e.Value, i, i, want)
 		}
 	}
 }
@@ -507,30 +509,32 @@ func TestEnqueueAckDispatchesAfterDurable(t *testing.T) {
 
 // TestPipelineRecycledBuffersDoNotAlias drives many distinct values
 // through one queue so its recycled value buffers and batches are
-// reused many times over, then checks every logged value survived
-// intact — a recycle that aliased a live log entry would corrupt them.
+// reused many times over, each key first inserted and then overwritten
+// in the log, then checks every key's durable value survived intact —
+// a log version that aliased a recycled buffer would hold a later
+// persist's bytes.
 func TestPipelineRecycledBuffersDoNotAlias(t *testing.T) {
 	log := NewLog()
 	p := NewPipeline(log, PipelineConfig{
 		Lat: LatencyModel{FixedNs: int64(10 * time.Microsecond)},
 	})
-	const rounds = 500
-	for v := 1; v <= rounds; v++ {
-		val := []byte{byte(v), byte(v >> 8), 0xEE}
-		if !p.Persist(7, ts(0, v), val, 0) {
-			t.Fatalf("persist v%d failed", v)
+	const keys, versions = 64, 8
+	for v := 1; v <= versions; v++ {
+		for k := 0; k < keys; k++ {
+			if !p.Persist(ddp.Key(k), ts(0, v), []byte{byte(k), byte(v), 0xEE}, 0) {
+				t.Fatalf("persist key %d v%d failed", k, v)
+			}
 		}
 	}
 	p.Close()
-	entries := log.EntriesSince(0)
-	if len(entries) != rounds {
-		t.Fatalf("log has %d entries, want %d", len(entries), rounds)
+	db := log.Materialize()
+	if len(db) != keys {
+		t.Fatalf("log holds %d keys, want %d", len(db), keys)
 	}
-	for _, e := range entries {
-		v := int(e.TS.Version)
-		want := []byte{byte(v), byte(v >> 8), 0xEE}
-		if string(e.Value) != string(want) {
-			t.Fatalf("v%d: logged value %v, want %v (recycled buffer aliased)", v, e.Value, want)
+	for k := 0; k < keys; k++ {
+		e := db[ddp.Key(k)]
+		if want := []byte{byte(k), versions, 0xEE}; e.TS != ts(0, versions) || string(e.Value) != string(want) {
+			t.Fatalf("key %d: durable %v %v, want %v %v (recycled buffer aliased)", k, e.TS, e.Value, ts(0, versions), want)
 		}
 	}
 }
